@@ -832,10 +832,7 @@ impl Device {
         access: Option<&TiledAccess>,
     ) -> Result<LaunchStats, SimError> {
         self.stream_tail(stream)?;
-        let block_threads = (cfg.block.0 as usize) * (cfg.block.1 as usize);
-        if block_threads > self.config.max_threads_per_block {
-            return Err(SimError::BadParam { kernel: kernel.name.clone(), index: usize::MAX });
-        }
+        cfg.validate(&kernel.name, self.config.max_threads_per_block)?;
         let stats = run_kernel(kernel, cfg, args, &mut self.buffers, self.host_workers)?;
         let ctx = LaunchContext { device: &self.config, config: cfg, access };
         let us = self.model.kernel_time_us(&stats, &ctx);
@@ -1127,12 +1124,47 @@ mod tests {
         let mut d = Device::gtx480();
         let buf = d.malloc(16).unwrap();
         let k = inc_kernel();
-        let err = d.launch(
-            &k,
-            LaunchConfig { grid: (1, 1), block: (2048, 1) },
-            &[KernelArg::Buffer(buf.0), KernelArg::Scalar(16)],
+        let err = d
+            .launch(
+                &k,
+                LaunchConfig { grid: (1, 1), block: (2048, 1) },
+                &[KernelArg::Buffer(buf.0), KernelArg::Scalar(16)],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BadLaunch {
+                kernel: "inc".into(),
+                grid: (1, 1),
+                block: (2048, 1),
+                max_block_threads: 1024,
+            }
         );
-        assert!(err.is_err());
+        assert_eq!(
+            err.to_string(),
+            "kernel 'inc': block (2048, 1) has 2048 threads, more than the 1024 allowed per block"
+        );
+        // Nothing ran and nothing was charged.
+        assert_eq!(d.now_us(), 0.0);
+    }
+
+    #[test]
+    fn zero_dimension_launches_are_typed_errors() {
+        let mut d = Device::gtx480();
+        let buf = d.malloc(16).unwrap();
+        let k = inc_kernel();
+        let args = [KernelArg::Buffer(buf.0), KernelArg::Scalar(16)];
+        for (grid, block) in
+            [((0, 1), (16, 1)), ((1, 0), (16, 1)), ((1, 1), (0, 1)), ((1, 1), (16, 0))]
+        {
+            let err = d.launch(&k, LaunchConfig { grid, block }, &args).unwrap_err();
+            assert!(
+                matches!(err, SimError::BadLaunch { grid: g, block: b, .. } if g == grid && b == block),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("has a zero dimension"), "{err}");
+        }
+        assert_eq!(d.now_us(), 0.0);
     }
 
     #[test]

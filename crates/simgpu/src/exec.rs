@@ -10,13 +10,54 @@
 //!   (block-major, then thread-major) rank wins — deterministic, though
 //!   well-formed kernels never rely on it.
 //!
+//! # Lane groups
+//!
+//! Threads execute a **lane group** at a time (the `simt` submodule): a run of
+//! consecutive thread ranks (up to 64, crossing block boundaries when
+//! blocks are small) shares one register file laid out register-major, and
+//! each decoded instruction is issued once for every active lane of the
+//! group. Divergence is carried by structured masks — lists of active lanes:
+//! an `If` partitions its lanes into a then-list and an else-list, a `For`
+//! keeps the lanes whose own trip count is not yet exhausted, and a `Return`
+//! retires its lanes for the rest of the group.
+//!
+//! The kernel is decoded once per launch. Parameters are bound and
+//! kind-checked there, so a load or store through a scalar (or a store
+//! through a read-only buffer) becomes a fault instruction. Thread-invariant
+//! top-level definitions — constants, scalar parameters, block and grid
+//! dimensions whose register is written exactly once and never read before —
+//! are **hoisted** into a per-launch register image. A `Div`/`Rem` by a
+//! hoisted constant `d` in `[2, 2³²)` is strength-reduced to an exact
+//! multiply-high (Lemire, Kaser and Kurz: `c = ⌈2⁶⁴/d⌉`, `n / d = ⌊c·n /
+//! 2⁶⁴⌋`, `n % d = ⌊(c·n mod 2⁶⁴)·d / 2⁶⁴⌋`, exact for every `n` in
+//! `[0, 2³²)`); any other dividend takes `wrapping_div`/`wrapping_rem`.
+//!
+//! Everything observable is exact. Counters are charged per active lane,
+//! and each lane touches the same address bitsets a thread would. Stores are
+//! logged with their lane and stably ordered by lane before they join the
+//! worker's log, so block-major, thread-major last-writer-wins holds. A loop
+//! counter whose next value would overflow ends its loop, in both
+//! executors.
+//!
+//! # Error replay
+//!
+//! When any lane of a group faults, the group is re-run through the scalar
+//! per-thread interpreter (`run_ranks_scalar`), which stops at the first
+//! error in rank order. The reported [`SimError`] is therefore the error of
+//! the lowest-ranked faulting thread — its first one — exactly as if every
+//! thread had run alone. The scalar interpreter is the reference the lane
+//! executor is tested against and otherwise runs only on this error path.
+//!
 //! Blocks are distributed over std::thread scoped threads. Each worker keeps a
 //! private write log and private access bitsets; the coordinator applies the
 //! logs in block order and merges the bitsets, so execution is deterministic
 //! and data-race-free while the dynamic counters remain exact.
 
+mod simt;
+
 use crate::kir::{BinOp, Instr, Kernel, KernelArg, Param, Special};
 use crate::SimError;
+use std::ops::Range;
 
 /// Grid/block geometry of a launch (x, y). A missing dimension is 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +90,32 @@ impl LaunchConfig {
     /// Total number of blocks.
     pub fn total_blocks(&self) -> u64 {
         self.grid.0 as u64 * self.grid.1 as u64
+    }
+
+    /// Threads per block.
+    pub fn block_threads(&self) -> u64 {
+        self.block.0 as u64 * self.block.1 as u64
+    }
+
+    /// Check the geometry of a launch of `kernel`: every grid and block
+    /// dimension must be non-zero and a block may hold at most
+    /// `max_block_threads` threads.
+    pub fn validate(&self, kernel: &str, max_block_threads: usize) -> Result<(), SimError> {
+        let (g, b) = (self.grid, self.block);
+        if g.0 == 0
+            || g.1 == 0
+            || b.0 == 0
+            || b.1 == 0
+            || self.block_threads() > max_block_threads as u64
+        {
+            return Err(SimError::BadLaunch {
+                kernel: kernel.to_string(),
+                grid: g,
+                block: b,
+                max_block_threads,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -89,27 +156,43 @@ struct WorkerState {
 
 impl WorkerState {
     fn new(bound: &[Bound<'_>]) -> Self {
-        let touched = bound
-            .iter()
-            .map(|b| match b {
-                Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
-                Bound::Scalar(_) => Vec::new(),
-            })
-            .collect();
-        WorkerState { instructions: 0, loads: 0, stores: 0, touched, log: Vec::new() }
+        WorkerState {
+            instructions: 0,
+            loads: 0,
+            stores: 0,
+            touched: empty_bitsets(bound),
+            log: Vec::new(),
+        }
     }
 
     #[inline]
     fn touch(&mut self, arg: usize, addr: u32) {
-        let w = &mut self.touched[arg][(addr / 64) as usize];
-        *w |= 1u64 << (addr % 64);
+        touch(&mut self.touched[arg], addr);
     }
+}
+
+/// One all-clear address bitset per buffer argument.
+fn empty_bitsets(bound: &[Bound<'_>]) -> Vec<Vec<u64>> {
+    bound
+        .iter()
+        .map(|b| match b {
+            Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
+            Bound::Scalar(_) => Vec::new(),
+        })
+        .collect()
+}
+
+#[inline]
+fn touch(bits: &mut [u64], addr: u32) {
+    bits[(addr / 64) as usize] |= 1u64 << (addr % 64);
 }
 
 /// Execute `kernel` over `cfg` against the supplied buffers.
 ///
 /// `buffers` are the device buffers indexed by [`KernelArg::Buffer`] ids.
-/// On success the stores are applied and the dynamic counters returned.
+/// On success the stores are applied and the dynamic counters returned. A
+/// grid or block with a zero dimension is [`SimError::BadLaunch`]; on any
+/// error nothing is stored.
 pub fn run_kernel(
     kernel: &Kernel,
     cfg: LaunchConfig,
@@ -117,6 +200,31 @@ pub fn run_kernel(
     buffers: &mut [Option<Vec<i32>>],
     host_workers: usize,
 ) -> Result<LaunchStats, SimError> {
+    launch(kernel, cfg, args, buffers, host_workers, false)
+}
+
+/// [`run_kernel`] with every thread run by the scalar per-thread interpreter:
+/// the reference the lane-group executor is checked against.
+#[cfg(test)]
+fn run_kernel_reference(
+    kernel: &Kernel,
+    cfg: LaunchConfig,
+    args: &[KernelArg],
+    buffers: &mut [Option<Vec<i32>>],
+    host_workers: usize,
+) -> Result<LaunchStats, SimError> {
+    launch(kernel, cfg, args, buffers, host_workers, true)
+}
+
+fn launch(
+    kernel: &Kernel,
+    cfg: LaunchConfig,
+    args: &[KernelArg],
+    buffers: &mut [Option<Vec<i32>>],
+    host_workers: usize,
+    scalar_only: bool,
+) -> Result<LaunchStats, SimError> {
+    cfg.validate(&kernel.name, usize::MAX)?;
     // Bind arguments to parameters.
     if args.len() != kernel.params.len() {
         return Err(SimError::BadParam { kernel: kernel.name.clone(), index: args.len() });
@@ -145,23 +253,16 @@ pub fn run_kernel(
     // higher counts to exercise the multi-worker merge even on small hosts.
     let workers = host_workers.max(1).min(total_blocks as usize);
     let chunk = total_blocks.div_ceil(workers as u64);
-
-    let regs_needed = kernel.register_count();
+    let block_threads = cfg.block_threads();
+    let program = (!scalar_only).then(|| simt::Program::decode(kernel, &bound, cfg));
 
     // Run blocks, either inline or across scoped threads.
     let run_range = |lo: u64, hi: u64| -> Result<WorkerState, SimError> {
         let mut st = WorkerState::new(&bound);
-        let mut regs = vec![0i64; regs_needed];
-        for blk in lo..hi {
-            let bx = (blk % cfg.grid.0 as u64) as i64;
-            let by = (blk / cfg.grid.0 as u64) as i64;
-            for ty in 0..cfg.block.1 as i64 {
-                for tx in 0..cfg.block.0 as i64 {
-                    let ctx = ThreadCtx { kernel, bound: &bound, cfg, bx, by, tx, ty };
-                    regs.iter_mut().for_each(|r| *r = 0);
-                    exec_block(&kernel.body, &ctx, &mut regs, &mut st)?;
-                }
-            }
+        let ranks = lo * block_threads..hi * block_threads;
+        match &program {
+            Some(program) => program.run_ranks(ranks, &mut st)?,
+            None => run_ranks_scalar(kernel, &bound, cfg, ranks, &mut st)?,
         }
         Ok(st)
     };
@@ -181,16 +282,11 @@ pub fn run_kernel(
             handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).collect()
         })
     };
+    drop(program);
 
     // Merge counters and bitsets; apply write logs in block order.
     let mut stats = LaunchStats { threads: cfg.total_threads(), ..Default::default() };
-    let mut merged: Vec<Vec<u64>> = bound
-        .iter()
-        .map(|b| match b {
-            Bound::Buf { data, .. } => vec![0u64; data.len().div_ceil(64)],
-            Bound::Scalar(_) => Vec::new(),
-        })
-        .collect();
+    let mut merged = empty_bitsets(&bound);
     let mut logs: Vec<WriteLog> = Vec::with_capacity(states.len());
     for st in states {
         let st = st?;
@@ -225,6 +321,35 @@ pub fn run_kernel(
         }
     }
     Ok(stats)
+}
+
+/// Run the threads of `ranks` (global thread ranks: block-major, then
+/// thread-major) one at a time through the scalar interpreter, stopping at
+/// the first error.
+fn run_ranks_scalar(
+    kernel: &Kernel,
+    bound: &[Bound<'_>],
+    cfg: LaunchConfig,
+    ranks: Range<u64>,
+    st: &mut WorkerState,
+) -> Result<(), SimError> {
+    let mut regs = vec![0i64; kernel.register_count()];
+    let block_threads = cfg.block_threads();
+    for rank in ranks {
+        let (blk, t) = (rank / block_threads, rank % block_threads);
+        let ctx = ThreadCtx {
+            kernel,
+            bound,
+            cfg,
+            bx: (blk % cfg.grid.0 as u64) as i64,
+            by: (blk / cfg.grid.0 as u64) as i64,
+            tx: (t % cfg.block.0 as u64) as i64,
+            ty: (t / cfg.block.0 as u64) as i64,
+        };
+        regs.iter_mut().for_each(|r| *r = 0);
+        exec_block(&kernel.body, &ctx, &mut regs, st)?;
+    }
+    Ok(())
 }
 
 /// Per-thread execution context.
@@ -379,7 +504,12 @@ fn exec_block(
                         Flow::Continue => {}
                         Flow::Return => return Ok(Flow::Return),
                     }
-                    v += step_v;
+                    // A counter whose next value would overflow ends the
+                    // loop (it could never again be below `end_v`).
+                    match v.checked_add(step_v) {
+                        Some(next) => v = next,
+                        None => break,
+                    }
                 }
             }
             Instr::If { cond, then, els } => {
@@ -594,12 +724,118 @@ mod tests {
             assert_eq!(bufs[0].as_ref().unwrap()[0], 31);
         }
     }
+
+    #[test]
+    fn zero_grid_or_block_is_a_typed_error() {
+        let k = scale_kernel();
+        let args = [KernelArg::Buffer(0), KernelArg::Buffer(1), KernelArg::Scalar(4)];
+        for (grid, block) in
+            [((0, 1), (4, 1)), ((2, 0), (4, 1)), ((1, 1), (0, 1)), ((1, 1), (4, 0))]
+        {
+            for workers in [1usize, 3] {
+                let mut bufs = vec![Some(vec![1i32; 4]), Some(vec![0i32; 4])];
+                let cfg = LaunchConfig { grid, block };
+                let err = run_kernel(&k, cfg, &args, &mut bufs, workers).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::BadLaunch {
+                        kernel: "scale2".into(),
+                        grid,
+                        block,
+                        max_block_threads: usize::MAX
+                    }
+                );
+                assert_eq!(bufs[1].as_deref(), Some(&[0i32; 4][..]), "nothing was stored");
+            }
+        }
+    }
+
+    /// `y[gid] = number of iterations of for (i = MAX - 10; i < MAX; i += step)`.
+    fn overflow_loop_kernel(step: i64) -> Kernel {
+        let mut b = KernelBuilder::new("to_max", KernelFlavor::Cuda);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let trips = b.constant(0);
+        let one = b.constant(1);
+        let start = b.constant(i64::MAX - 10);
+        let end = b.constant(i64::MAX);
+        let step = b.constant(step);
+        b.begin_for(start, end, step);
+        let t = b.bin(BinOp::Add, trips, one);
+        b.mov(trips, t);
+        b.end_for();
+        b.store(y, gid, trips);
+        b.finish()
+    }
+
+    #[test]
+    fn loop_counter_overflow_ends_the_loop() {
+        // Counters MAX-10, MAX-6, MAX-2; the next, MAX+2, overflows. With
+        // step 5: MAX-10, MAX-5, then MAX itself is not below the end.
+        for (step, trips) in [(4i64, 3i32), (5, 2), (1, 10), (i64::MAX, 1)] {
+            let k = overflow_loop_kernel(step);
+            for reference in [false, true] {
+                let mut bufs = vec![Some(vec![-1i32; 96])];
+                let cfg = LaunchConfig::cover_1d(96, 32);
+                let args = [KernelArg::Buffer(0)];
+                let stats = if reference {
+                    run_kernel_reference(&k, cfg, &args, &mut bufs, 1)
+                } else {
+                    run_kernel(&k, cfg, &args, &mut bufs, 1)
+                }
+                .unwrap();
+                assert_eq!(bufs[0].as_deref(), Some(&[trips; 96][..]), "step {step}");
+                assert_eq!(stats.stores, 96);
+            }
+        }
+    }
+
+    #[test]
+    fn lowest_ranked_thread_reports_its_error_first() {
+        // Thread 5 faults at the first instruction after the guard; thread 2
+        // faults only at the end. Thread 2 runs first, so its (later) error
+        // is the launch's error, whatever the block split or worker count.
+        let mut b = KernelBuilder::new("two_faults", KernelFlavor::Cuda);
+        let x = b.buffer_param("x", false);
+        let y = b.buffer_param("y", true);
+        let gid = b.special(Special::GlobalIdX);
+        let five = b.constant(5);
+        let is5 = b.bin(BinOp::Eq, gid, five);
+        b.begin_if(is5);
+        let far = b.constant(1000);
+        let _ = b.load(x, far);
+        b.end_if();
+        let v = b.load(x, gid);
+        let w = b.bin_imm(BinOp::Mul, v, 3);
+        b.store(y, gid, w);
+        let two = b.constant(2);
+        let is2 = b.bin(BinOp::Eq, gid, two);
+        b.begin_if(is2);
+        let zero = b.constant(0);
+        let _ = b.bin(BinOp::Div, gid, zero);
+        b.end_if();
+        let k = b.finish();
+        for (block, workers) in [(8u32, 1usize), (4, 2), (1, 5), (3, 3)] {
+            let mut bufs = vec![Some(vec![1i32; 8]), Some(vec![0i32; 8])];
+            let cfg = LaunchConfig::cover_1d(8, block);
+            let err = run_kernel(
+                &k,
+                cfg,
+                &[KernelArg::Buffer(0), KernelArg::Buffer(1)],
+                &mut bufs,
+                workers,
+            )
+            .unwrap_err();
+            assert_eq!(err, SimError::DivByZero { kernel: "two_faults".into() }, "block {block}");
+            assert_eq!(bufs[1].as_deref(), Some(&[0i32; 8][..]), "a failed launch stores nothing");
+        }
+    }
 }
 
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use crate::kir::{KernelBuilder, KernelFlavor, Special};
+    use crate::kir::{KernelBuilder, KernelFlavor, Reg, Special};
     use proptest::prelude::*;
 
     /// Build a random straight-line kernel: y[gid] = f(x[gid], gid) for a
@@ -655,6 +891,342 @@ mod prop_tests {
                 let s = run_kernel(&kernel, cfg, &args, &mut bufs, workers).unwrap();
                 prop_assert_eq!(&bufs[1], &base[1], "workers = {}", workers);
                 prop_assert_eq!(s, s1);
+            }
+        }
+    }
+
+    /// Dividends and divisors that probe the constant-division fast path's
+    /// edges: 1, negatives, values at and beyond 2³², `i64::MIN` and -1.
+    const EDGES: [i64; 16] = [
+        0,
+        1,
+        -1,
+        2,
+        3,
+        7,
+        -6,
+        64,
+        255,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 32) + 3,
+        -(1 << 33),
+        i64::MIN,
+        i64::MAX,
+        1_000_003,
+    ];
+
+    /// Generates random structured kernels over a read-only `x`, a small
+    /// writable `y` (so threads collide on addresses), a `gid`-indexed
+    /// writable `z` and a scalar `n`. Each finishing thread also stores a
+    /// hash of a random third of the registers it can name to `h[gid]`, so a
+    /// wrong value shows even where no store reads it.
+    struct KernelGen<'r> {
+        rng: &'r mut TestRng,
+        b: KernelBuilder,
+        /// Registers any later instruction may read (including ones written
+        /// only on some paths: the reference zeroes every register).
+        pool: Vec<Reg>,
+        params: [usize; 5],
+        loops: usize,
+    }
+
+    const X_LEN: i64 = 37;
+    const Y_LEN: i64 = 5;
+
+    impl KernelGen<'_> {
+        fn pick(&mut self) -> Reg {
+            self.pool[self.rng.below(self.pool.len() as u64) as usize]
+        }
+
+        fn edge(&mut self) -> i64 {
+            EDGES[self.rng.below(EDGES.len() as u64) as usize]
+        }
+
+        /// `v` reduced into `[0, len)`.
+        fn wrap(&mut self, v: Reg, len: i64) -> Reg {
+            let n = self.b.constant(len);
+            self.b.wrap_mod(v, n)
+        }
+
+        /// A small per-lane value in `[0, k)` derived from thread ids.
+        fn lane_small(&mut self, k: i64) -> Reg {
+            let id = match self.rng.below(3) {
+                0 => self.b.special(Special::GlobalIdX),
+                1 => self.b.special(Special::ThreadIdxY),
+                _ => self.pick(),
+            };
+            self.wrap(id, k)
+        }
+
+        fn block(&mut self, depth: usize) {
+            let len = 1 + self.rng.below(6);
+            for _ in 0..len {
+                let choice = self.rng.below(if depth < 3 { 14 } else { 10 });
+                self.instr(choice, depth);
+            }
+        }
+
+        fn instr(&mut self, choice: u64, depth: usize) {
+            let [x, y, z, n, _] = self.params;
+            match choice {
+                0 => {
+                    let v = self.edge();
+                    let r = self.b.constant(v);
+                    self.pool.push(r);
+                }
+                1 => {
+                    let kinds = [
+                        Special::GlobalIdX,
+                        Special::GlobalIdY,
+                        Special::ThreadIdxX,
+                        Special::ThreadIdxY,
+                        Special::BlockIdxX,
+                        Special::BlockIdxY,
+                        Special::BlockDimX,
+                        Special::BlockDimY,
+                        Special::GridDimX,
+                        Special::GridDimY,
+                    ];
+                    let r = self.b.special(kinds[self.rng.below(10) as usize]);
+                    self.pool.push(r);
+                }
+                2 | 3 => {
+                    let ops = [
+                        BinOp::Add,
+                        BinOp::Sub,
+                        BinOp::Mul,
+                        BinOp::Min,
+                        BinOp::Max,
+                        BinOp::Lt,
+                        BinOp::Le,
+                        BinOp::Eq,
+                        BinOp::Ne,
+                        BinOp::And,
+                        BinOp::Or,
+                    ];
+                    let op = ops[self.rng.below(ops.len() as u64) as usize];
+                    let (a, c) = (self.pick(), self.pick());
+                    let r = self.b.bin(op, a, c);
+                    self.pool.push(r);
+                }
+                4 | 5 => {
+                    // Division by a constant (the fast path when the constant
+                    // is hoisted), rarely by a register that may be zero.
+                    let op = if self.rng.below(2) == 0 { BinOp::Div } else { BinOp::Rem };
+                    let a = if self.rng.below(3) == 0 {
+                        // Lanes straddling an edge, e.g. 2³² - 2 ..= 2³² + 2.
+                        let near = self.lane_small(5);
+                        let base = self.edge().wrapping_sub(2);
+                        let base = self.b.constant(base);
+                        self.b.bin(BinOp::Add, near, base)
+                    } else {
+                        self.pick()
+                    };
+                    let d = if self.rng.below(12) == 0 {
+                        self.pick()
+                    } else {
+                        let v = match self.edge() {
+                            0 => 3,
+                            v => v,
+                        };
+                        self.b.constant(v)
+                    };
+                    let r = self.b.bin(op, a, d);
+                    self.pool.push(r);
+                }
+                6 => {
+                    let v = self.pick();
+                    // Mostly in bounds; a raw index may fault.
+                    let ix = if self.rng.below(10) == 0 { v } else { self.wrap(v, X_LEN) };
+                    let r = self.b.load(x, ix);
+                    self.pool.push(r);
+                }
+                7 => {
+                    // Cross-lane conflicts on the small buffer; a second store
+                    // to the same address is a same-thread conflict.
+                    let v = self.pick();
+                    let ix = self.lane_small(Y_LEN);
+                    let val = self.pick();
+                    self.b.store(y, ix, val);
+                    if self.rng.below(3) == 0 {
+                        self.b.store(y, ix, v);
+                    }
+                }
+                8 => {
+                    let gid = self.b.special(Special::GlobalIdX);
+                    let r = self.b.param_value(n);
+                    let inside = self.b.bin(BinOp::Lt, gid, r);
+                    self.b.begin_if(inside);
+                    let v = self.pick();
+                    self.b.store(z, gid, v);
+                    self.b.end_if();
+                }
+                9 => {
+                    // Loop-carried (and branch-carried) mutation.
+                    let (dst, src) = (self.pick(), self.pick());
+                    self.b.mov(dst, src);
+                }
+                10 | 11 => {
+                    let c = if self.rng.below(2) == 0 { self.pick() } else { self.lane_small(2) };
+                    self.b.begin_if(c);
+                    self.block(depth + 1);
+                    if self.rng.below(4) == 0 {
+                        self.b.ret();
+                    }
+                    if self.rng.below(2) == 0 {
+                        self.b.begin_else();
+                        self.block(depth + 1);
+                    }
+                    self.b.end_if();
+                }
+                12 if self.loops < 3 => {
+                    self.loops += 1;
+                    let (start, end, step) = if self.rng.below(6) == 0 {
+                        // Counters that reach i64::MAX.
+                        let back = self.rng.below(9) as i64;
+                        let start = self.b.constant(i64::MAX - back);
+                        let end = self.b.constant(i64::MAX);
+                        let step = self.b.constant(1 + self.rng.below(4) as i64);
+                        (start, end, step)
+                    } else {
+                        // Per-lane start and trip count; steps may be < 1.
+                        let start = self.lane_small(3);
+                        let trips = self.lane_small(4);
+                        let end = self.b.bin(BinOp::Add, start, trips);
+                        let step = self.b.constant(self.rng.below(3) as i64 - 1);
+                        (start, end, step)
+                    };
+                    let var = self.b.begin_for(start, end, step);
+                    self.pool.push(var);
+                    self.block(depth + 1);
+                    if self.rng.below(5) == 0 {
+                        let c = self.lane_small(3);
+                        self.b.begin_if(c);
+                        self.b.ret();
+                        self.b.end_if();
+                    }
+                    self.b.end_for();
+                }
+                _ => {
+                    let c = self.lane_small(5);
+                    self.b.begin_if(c);
+                    self.b.ret();
+                    self.b.end_if();
+                }
+            }
+        }
+    }
+
+    fn random_structured_kernel(rng: &mut TestRng) -> Kernel {
+        let mut b = KernelBuilder::new("structured", KernelFlavor::Cuda);
+        let params = [
+            b.buffer_param("x", false),
+            b.buffer_param("y", true),
+            b.buffer_param("z", true),
+            b.scalar_param("n"),
+            b.buffer_param("h", true),
+        ];
+        let gid = b.special(Special::GlobalIdX);
+        let len = b.constant(X_LEN);
+        let ix = b.wrap_mod(gid, len);
+        let xv = b.load(params[0], ix);
+        let mut gen = KernelGen { rng, b, pool: vec![gid, xv], params, loops: 0 };
+        gen.block(0);
+        // Always publish something per thread.
+        let v = gen.pick();
+        let ix = gen.lane_small(Y_LEN);
+        gen.b.store(params[1], ix, v);
+        let mut hash = gen.b.constant(17);
+        let mul = gen.b.constant(1_000_003);
+        // Only some registers: hashing all would keep every register live to
+        // the end and leave no register-file rows to share.
+        for r in std::mem::take(&mut gen.pool) {
+            if gen.rng.below(3) == 0 {
+                let h = gen.b.bin(BinOp::Mul, hash, mul);
+                hash = gen.b.bin(BinOp::Add, h, r);
+            }
+        }
+        let gid = gen.b.special(Special::GlobalIdX);
+        gen.b.store(params[4], gid, hash);
+        gen.b.finish()
+    }
+
+    type Outcome = (Result<LaunchStats, SimError>, Vec<Option<Vec<i32>>>);
+
+    fn launch_with(
+        k: &Kernel,
+        cfg: LaunchConfig,
+        x: &[i32],
+        n: i64,
+        workers: usize,
+        reference: bool,
+    ) -> Outcome {
+        let threads = cfg.total_threads() as usize;
+        let mut bufs = vec![
+            Some(x.to_vec()),
+            Some(vec![-7i32; Y_LEN as usize]),
+            Some(vec![0i32; threads]),
+            Some(vec![0i32; threads]),
+        ];
+        let args = [
+            KernelArg::Buffer(0),
+            KernelArg::Buffer(1),
+            KernelArg::Buffer(2),
+            KernelArg::Scalar(n),
+            KernelArg::Buffer(3),
+        ];
+        let res = if reference {
+            run_kernel_reference(k, cfg, &args, &mut bufs, workers)
+        } else {
+            run_kernel(k, cfg, &args, &mut bufs, workers)
+        };
+        (res, bufs)
+    }
+
+    proptest! {
+        /// The lane-group executor is observationally the scalar reference:
+        /// same buffers, same counters, same first error — over divergent
+        /// branches, per-lane loops, early returns, loop-carried moves,
+        /// constant division edge cases, store conflicts, 2-D geometry and
+        /// several worker counts.
+        #[test]
+        fn lane_groups_match_the_scalar_reference(
+            seed in any::<u64>(),
+            grid in (1u32..4, 1u32..3),
+            block in prop_oneof![
+                Just((1u32, 1u32)),
+                Just((3, 1)),
+                Just((7, 3)),
+                Just((16, 4)),
+                Just((64, 1)),
+                Just((5, 5)),
+                Just((100, 1)),
+                Just((32, 3)),
+            ],
+            n_frac in 0u8..5,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let k = random_structured_kernel(&mut rng);
+            let cfg = LaunchConfig { grid, block };
+            let x: Vec<i32> = (0..X_LEN)
+                .map(|_| match rng.below(4) {
+                    0 => EDGES[rng.below(EDGES.len() as u64) as usize] as i32,
+                    _ => rng.next_u64() as i32 >> rng.below(31),
+                })
+                .collect();
+            // `n` guards the z stores: all, most, or none of the threads.
+            let n = cfg.total_threads() as i64 * n_frac as i64 / 4;
+            let reference = launch_with(&k, cfg, &x, n, 1, true);
+            for workers in [1usize, 2, 5] {
+                let simt = launch_with(&k, cfg, &x, n, workers, false);
+                prop_assert_eq!(&simt.0, &reference.0, "workers {}: {:?}", workers, k.body);
+                prop_assert_eq!(&simt.1, &reference.1, "workers {}: {:?}", workers, k.body);
+                if workers > 1 {
+                    let scalar = launch_with(&k, cfg, &x, n, workers, true);
+                    prop_assert_eq!(&scalar.0, &reference.0);
+                    prop_assert_eq!(&scalar.1, &reference.1);
+                }
             }
         }
     }

@@ -19,9 +19,21 @@
 //!   many kernels "hinders effective data reuse",
 //! * compute throughput proportional to dynamic instruction count.
 //!
-//! Execution is parallel on the host (blocks are distributed over std::thread
-//! scoped threads) yet deterministic: each block's stores are collected in a
-//! write log and applied in block order.
+//! Kernels execute a **lane group** at a time ([`exec`]): each launch decodes
+//! the kernel once — binding and kind-checking parameters, hoisting
+//! thread-invariant constants into a register image, and turning `Div`/`Rem`
+//! by a constant in `[2, 2³²)` into an exact multiply-high — and then issues
+//! every instruction once for up to 64 consecutive threads, with structured
+//! lane masks carrying `If`/`For`/`Return` divergence. Counters, touched
+//! addresses and store order are exactly those of running every thread
+//! alone; a group in which any lane faults is replayed through the scalar
+//! per-thread interpreter so the reported error is the lowest-ranked
+//! thread's first one.
+//!
+//! Execution is parallel on the host (contiguous block ranges are
+//! distributed over std::thread scoped threads) yet deterministic: stores
+//! are collected in per-worker write logs in rank order and applied in block
+//! order.
 //!
 //! The [`profiler`] accumulates per-operation records and renders them in the
 //! same format as the paper's Tables I and II.
@@ -74,6 +86,9 @@ pub enum SimError {
     ReadOnlyStore { kernel: String, param: usize },
     /// Division by zero inside a kernel.
     DivByZero { kernel: String },
+    /// A launch geometry the device cannot run: a zero grid or block
+    /// dimension, or more threads per block than `max_block_threads`.
+    BadLaunch { kernel: String, grid: (u32, u32), block: (u32, u32), max_block_threads: usize },
     /// Device memory exhausted.
     OutOfMemory { requested: usize, available: usize },
     /// An allocation request so large its byte size (or size class) does not
@@ -106,6 +121,22 @@ impl std::fmt::Display for SimError {
                 write!(f, "kernel '{kernel}': store through read-only parameter {param}")
             }
             SimError::DivByZero { kernel } => write!(f, "kernel '{kernel}': division by zero"),
+            SimError::BadLaunch { kernel, grid, block, max_block_threads } => {
+                let (g, b) = (grid, block);
+                if g.0 == 0 || g.1 == 0 || b.0 == 0 || b.1 == 0 {
+                    write!(
+                        f,
+                        "kernel '{kernel}': launch grid {g:?} x block {b:?} has a zero dimension"
+                    )
+                } else {
+                    write!(
+                        f,
+                        "kernel '{kernel}': block {b:?} has {} threads, more than the \
+                         {max_block_threads} allowed per block",
+                        b.0 as u64 * b.1 as u64
+                    )
+                }
+            }
             SimError::OutOfMemory { requested, available } => {
                 write!(f, "device out of memory: requested {requested} B, available {available} B")
             }
