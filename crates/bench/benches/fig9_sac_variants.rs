@@ -7,8 +7,8 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device, HostCost};
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions};
 use std::hint::black_box;
 
 fn bench_fig9(c: &mut Criterion) {
@@ -27,18 +27,14 @@ fn bench_fig9(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("cuda", name), &route, |b, route| {
+        let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
+        let frames = [vec![frame.clone()]];
+        group.bench_with_input(BenchmarkId::new("cuda", name), &plan, |b, plan| {
             b.iter(|| {
                 let mut device = Device::gtx480();
-                black_box(
-                    run_on_device(
-                        &route.cuda,
-                        &mut device,
-                        black_box(std::slice::from_ref(&frame)),
-                        HostCost::default(),
-                    )
-                    .unwrap(),
-                )
+                let sched = BatchScheduler::new(plan);
+                black_box(sched.run(&mut device, black_box(&frames), &ExecOptions::default()))
+                    .unwrap()
             })
         });
     }

@@ -7,6 +7,7 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_gaspard;
 use downscaler::Scenario;
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions};
 use std::hint::black_box;
 
 fn bench_gaspard(c: &mut Criterion) {
@@ -21,12 +22,13 @@ fn bench_gaspard(c: &mut Criterion) {
     });
 
     let route = build_gaspard(&s).unwrap();
+    let plan = gaspard::lower_plan(&route.opencl);
+    let frames = [channels];
     group.bench_function("opencl_frame_cif", |b| {
         b.iter(|| {
             let mut device = Device::gtx480();
-            black_box(
-                gaspard::run_opencl(&route.opencl, &mut device, black_box(&channels)).unwrap(),
-            )
+            let sched = BatchScheduler::new(&plan);
+            black_box(sched.run(&mut device, black_box(&frames), &ExecOptions::default())).unwrap()
         })
     });
 

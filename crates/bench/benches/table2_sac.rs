@@ -7,9 +7,16 @@ use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
-use sac_cuda::exec::{run_on_device_opts, ExecOptions};
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions, LaunchPlan};
 use std::hint::black_box;
+
+/// One serial frame through `plan`.
+fn run_frame(plan: &LaunchPlan<'_>, frames: &[Vec<mdarray::NdArray<i64>>]) {
+    let mut device = Device::gtx480();
+    let sched = BatchScheduler::new(plan);
+    black_box(sched.run(&mut device, black_box(frames), &ExecOptions::default())).unwrap();
+}
 
 fn bench_sac(c: &mut Criterion) {
     let s = Scenario::cif();
@@ -27,21 +34,9 @@ fn bench_sac(c: &mut Criterion) {
     });
 
     let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
-    let opts = ExecOptions { channel_chunks: s.channels, ..Default::default() };
-    group.bench_function("cuda_frame_cif", |b| {
-        b.iter(|| {
-            let mut device = Device::gtx480();
-            black_box(
-                run_on_device_opts(
-                    &route.cuda,
-                    &mut device,
-                    black_box(std::slice::from_ref(&frame)),
-                    opts,
-                )
-                .unwrap(),
-            )
-        })
-    });
+    let plan = sac_cuda::lower_plan(&route.cuda, s.channels).unwrap();
+    let frames = [vec![frame.clone()]];
+    group.bench_function("cuda_frame_cif", |b| b.iter(|| run_frame(&plan, &frames)));
 
     for (name, part) in [("h_filter_only", Part::Horizontal), ("v_filter_only", Part::Vertical)] {
         let r = build_sac(&s, Variant::NonGeneric, part, &Default::default()).unwrap();
@@ -50,20 +45,9 @@ fn bench_sac(c: &mut Criterion) {
         } else {
             frame.clone()
         };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut device = Device::gtx480();
-                black_box(
-                    run_on_device_opts(
-                        &r.cuda,
-                        &mut device,
-                        black_box(std::slice::from_ref(&input)),
-                        opts,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
+        let plan = sac_cuda::lower_plan(&r.cuda, s.channels).unwrap();
+        let frames = [vec![input]];
+        group.bench_function(name, |b| b.iter(|| run_frame(&plan, &frames)));
     }
     group.finish();
 }

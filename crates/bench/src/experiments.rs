@@ -1,19 +1,19 @@
 //! The experiments behind each table and figure.
 
-use crate::calibration::{HOST_NS_PER_OP, SEQ_CPU_NS_PER_OP};
+use crate::calibration::SEQ_CPU_NS_PER_OP;
 use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{
-    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_gaspard_batch_placed,
-    run_sac_batch, ExecOptions, PipelineError, SacRoute,
+    build_gaspard, build_sac, reference_downscale, run_batch, ExecOptions, PipelineError, SacRoute,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
+use gaspard::GaspardError;
 use mdarray::NdArray;
-use sac_cuda::exec::run_on_device_opts;
-use sac_cuda::PlanOp;
+use sac_cuda::{CudaError, PlanOp};
 use simgpu::cost::Direction;
 use simgpu::device::Device;
 use simgpu::profiler::{Group, OpClass, TableRow};
+use simgpu::{BatchScheduler, LaunchPlan, ScheduleError};
 
 /// One bar pair of Figure 9.
 #[derive(Debug, Clone)]
@@ -48,8 +48,21 @@ pub struct Fig12 {
     pub d2h: (f64, f64),
 }
 
-fn default_exec(s: &Scenario) -> ExecOptions {
-    ExecOptions { host_ns_per_op: HOST_NS_PER_OP, channel_chunks: s.channels, ..Default::default() }
+/// The SaC route's plan, with uploads and downloads chunked per colour
+/// channel the way the paper's runtime streams frames.
+fn sac_plan<'a>(s: &Scenario, route: &'a SacRoute) -> Result<LaunchPlan<'a>, CudaError> {
+    sac_cuda::lower_plan(&route.cuda, s.channels)
+}
+
+/// Run one frame through `plan` on the serialized default stream. Buffers
+/// are released on return, as the paper's per-frame host loop does.
+fn run_frame(
+    plan: &LaunchPlan<'_>,
+    device: &mut Device,
+    inputs: Vec<NdArray<i64>>,
+) -> Result<(), ScheduleError> {
+    BatchScheduler::new(plan).run(device, &[inputs], &ExecOptions::default())?;
+    Ok(())
 }
 
 fn test_frame(s: &Scenario) -> NdArray<i64> {
@@ -95,7 +108,7 @@ fn cuda_filter_time_s(s: &Scenario, variant: Variant, part: Part) -> Result<f64,
         Part::Vertical => downscaler::pipelines::reference_horizontal(s, &test_frame(s)),
         _ => test_frame(s),
     };
-    run_on_device_opts(&route.cuda, &mut device, &[input], default_exec(s))?;
+    run_frame(&sac_plan(s, &route)?, &mut device, vec![input]).map_err(CudaError::from)?;
     let total = device.now_us();
     let h2d = device.profiler.class_total_us(OpClass::H2D);
     let result_d2h = result_download_us(s, &route, &device);
@@ -155,7 +168,8 @@ pub fn table1(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_gaspard(s)?;
     let mut device = Device::gtx480();
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, 0xD05C).frame_channels(0);
-    gaspard::run_opencl(&route.opencl, &mut device, &channels)?;
+    run_frame(&gaspard::lower_plan(&route.opencl), &mut device, channels)
+        .map_err(GaspardError::from)?;
     device.profiler.scale(s.frames as u64);
     Ok(ProfileTable {
         rows: device.profiler.rows(&paper_groups()),
@@ -167,7 +181,7 @@ pub fn table1(s: &Scenario) -> Result<ProfileTable, PipelineError> {
 pub fn table2(s: &Scenario) -> Result<ProfileTable, PipelineError> {
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
-    run_on_device_opts(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    run_frame(&sac_plan(s, &route)?, &mut device, vec![test_frame(s)]).map_err(CudaError::from)?;
     device.profiler.scale(s.frames as u64);
     Ok(ProfileTable {
         rows: device.profiler.rows(&paper_groups()),
@@ -280,12 +294,7 @@ pub fn sweep(scales: &[usize]) -> Result<Vec<SweepRow>, PipelineError> {
         let seq_us = ops as f64 * SEQ_CPU_NS_PER_OP / 1e3;
 
         let mut device = Device::gtx480();
-        run_on_device_opts(
-            &route.cuda,
-            &mut device,
-            std::slice::from_ref(&frame),
-            default_exec(&s),
-        )?;
+        run_frame(&sac_plan(&s, &route)?, &mut device, vec![frame]).map_err(CudaError::from)?;
         let gpu_total_us = device.now_us();
         let gpu_kernels_us = device.profiler.class_total_us(OpClass::Kernel);
         out.push(SweepRow { rows, cols, seq_us, gpu_kernels_us, gpu_total_us });
@@ -322,20 +331,17 @@ pub fn streams_ablation(
     s: &Scenario,
     stream_counts: &[usize],
 ) -> Result<Vec<StreamsRow>, PipelineError> {
-    let sac = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
-    let gasp = build_gaspard(s)?;
+    let sac_route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
+    let sac = sac_plan(s, &sac_route)?;
+    let gasp_route = build_gaspard(s)?;
+    let gasp = gaspard::lower_plan(&gasp_route.opencl);
     let mut rows = Vec::new();
     for &streams in stream_counts {
-        let opts = ExecOptions {
-            streams,
-            executed: 1,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
+        let opts = ExecOptions { streams, ..Default::default() };
         let mut sac_dev = Device::gtx480();
-        run_sac_batch(s, &sac, &mut sac_dev, 0xD05C, opts)?;
+        run_batch(s, &sac, &mut sac_dev, 0xD05C, 1, &opts).map_err(CudaError::from)?;
         let mut gasp_dev = Device::gtx480();
-        run_gaspard_batch(s, &gasp, &mut gasp_dev, 0xD05C, opts)?;
+        run_batch(s, &gasp, &mut gasp_dev, 0xD05C, 1, &opts).map_err(GaspardError::from)?;
         rows.push(StreamsRow {
             streams,
             sac_s: sac_dev.now_us() / 1e6,
@@ -415,8 +421,10 @@ fn measure_memory<E>(
 /// executed functionally and the whole-run totals extrapolated (frame 0 =
 /// cold start, frame 1 = steady state).
 pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
-    let sac = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
-    let gasp = build_gaspard(s)?;
+    let sac_route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
+    let sac = sac_plan(s, &sac_route)?;
+    let gasp_route = build_gaspard(s)?;
+    let gasp = gaspard::lower_plan(&gasp_route.opencl);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 0xD05C);
 
     let mut rows = Vec::new();
@@ -424,17 +432,16 @@ pub fn memory_ablation(s: &Scenario) -> Result<Vec<MemoryRow>, PipelineError> {
         let mut sac_dev = Device::gtx480();
         sac_dev.set_calibration(simgpu::Calibration::gtx480_alloc());
         sac_dev.set_pool_enabled(pool);
-        let sm = measure_memory(s, &mut sac_dev, |d, f| {
-            run_on_device_opts(&sac.cuda, d, &[gen.frame_rank3(f)], default_exec(s)).map(|_| ())
-        })?;
+        let sm =
+            measure_memory(s, &mut sac_dev, |d, f| run_frame(&sac, d, vec![gen.frame_rank3(f)]))
+                .map_err(CudaError::from)?;
 
         let mut gasp_dev = Device::gtx480();
         gasp_dev.set_calibration(simgpu::Calibration::gtx480_alloc());
         gasp_dev.set_pool_enabled(pool);
-        let gm = measure_memory(s, &mut gasp_dev, |d, f| {
-            gaspard::run_opencl(&gasp.opencl, d, &gen.frame_channels(f)).map(|_| ())
-        })
-        .map_err(PipelineError::Gaspard)?;
+        let gm =
+            measure_memory(s, &mut gasp_dev, |d, f| run_frame(&gasp, d, gen.frame_channels(f)))
+                .map_err(GaspardError::from)?;
 
         rows.push(MemoryRow {
             config: label.into(),
@@ -471,39 +478,35 @@ pub struct DegradationDemo {
 /// degradation is enabled, in which case it completes at reduced lanes with
 /// bit-identical outputs.
 pub fn oom_degradation_demo(s: &Scenario) -> Result<DegradationDemo, PipelineError> {
-    let sac = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
+    let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
+    let sac = sac_plan(s, &route)?;
     let streams = 4;
     // Each lane allocates its buffer set only when a frame executes on it
     // functionally (replay charges time without touching memory), so run one
     // functional frame per requested lane to actually exercise the capacity.
     // Scenarios with fewer frames than lanes exercise fewer lanes.
     let exercised = streams.min(s.frames);
-    let opts =
-        ExecOptions { executed: exercised, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
+    let run = |device: &mut Device, opts: ExecOptions| {
+        run_batch(s, &sac, device, 0xD05C, exercised, &opts).map(|(outs, _)| outs)
+    };
 
     // Baseline 1-stream run doubles as the per-lane footprint probe.
     let mut probe = Device::gtx480();
-    let baseline = run_sac_batch(s, &sac, &mut probe, 0xD05C, opts)?;
+    let baseline = run(&mut probe, ExecOptions::default()).map_err(CudaError::from)?;
     // Capacity for half the exercised lanes: the naive run must OOM, the
     // degradation ladder must bottom out at a count that fits.
     let capacity = probe.peak_allocated_bytes() * (exercised / 2).max(1);
 
     let cfg = simgpu::DeviceConfig::toy(capacity);
     let mut naive = Device::new(cfg.clone(), simgpu::Calibration::gtx480());
-    let naive_error =
-        match run_sac_batch(s, &sac, &mut naive, 0xD05C, ExecOptions { streams, ..opts }) {
-            Err(e) => e.to_string(),
-            Ok(_) => "unexpectedly succeeded".into(),
-        };
+    let naive_error = match run(&mut naive, ExecOptions { streams, ..Default::default() }) {
+        Err(e) => PipelineError::from(CudaError::from(e)).to_string(),
+        Ok(_) => "unexpectedly succeeded".into(),
+    };
 
     let mut degraded = Device::new(cfg, simgpu::Calibration::gtx480());
-    let outs = run_sac_batch(
-        s,
-        &sac,
-        &mut degraded,
-        0xD05C,
-        ExecOptions { streams, degrade_on_oom: true, ..opts },
-    )?;
+    let degrade = ExecOptions { streams, degrade_on_oom: true, ..Default::default() };
+    let outs = run(&mut degraded, degrade).map_err(CudaError::from)?;
 
     Ok(DegradationDemo {
         capacity_bytes: capacity,
@@ -564,6 +567,15 @@ pub fn fusion_ablation(s: &Scenario) -> Result<FusionAblation, PipelineError> {
         &sac_lang::opt::OptConfig { with_loop_folding: false, resolve_modulo: true },
     )?;
     let unfused = build_gaspard(s)?;
+    let sac_plans = [
+        ("SaC (WLF off)", sac_plan(s, &wlf_off)?, false),
+        ("SaC (WLF on)", sac_plan(s, &wlf_on)?, true),
+    ];
+    let unfused_plan = gaspard::lower_plan(&unfused.opencl);
+    // The fused route: the same unfused program with the plan-level fusion
+    // pass in faithful-codegen mode — bit-identical schedules to the
+    // removed model-level `fuse_model` route.
+    let fused_plan = downscaler::pipelines::fused_gaspard_plan(&unfused)?;
 
     let row = |config: &str, fused: bool, streams: usize, pool: bool, dev: &Device| FusionRow {
         config: config.into(),
@@ -578,34 +590,20 @@ pub fn fusion_ablation(s: &Scenario) -> Result<FusionAblation, PipelineError> {
     let mut rows = Vec::new();
     let mut fused_outputs_match = true;
     for (streams, pool) in [(1usize, false), (2, true)] {
-        let opts = ExecOptions {
-            streams,
-            pool,
-            executed: 1,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
-        for (label, route, is_fused) in
-            [("SaC (WLF off)", &wlf_off, false), ("SaC (WLF on)", &wlf_on, true)]
-        {
+        let opts = ExecOptions { streams, pool, ..Default::default() };
+        for (label, plan, is_fused) in &sac_plans {
             let mut dev = Device::gtx480();
-            run_sac_batch(s, route, &mut dev, 0xD05C, opts)?;
-            rows.push(row(label, is_fused, streams, pool, &dev));
+            run_batch(s, plan, &mut dev, 0xD05C, 1, &opts).map_err(CudaError::from)?;
+            rows.push(row(label, *is_fused, streams, pool, &dev));
         }
+        let gaspard_run = |plan: &LaunchPlan<'_>, dev: &mut Device| {
+            run_batch(s, plan, dev, 0xD05C, 1, &opts).map_err(GaspardError::from)
+        };
         let mut unf_dev = Device::gtx480();
-        let unf_out = run_gaspard_batch(s, &unfused, &mut unf_dev, 0xD05C, opts)?;
+        let (unf_out, _) = gaspard_run(&unfused_plan, &mut unf_dev)?;
         rows.push(row("Gaspard2 unfused", false, streams, pool, &unf_dev));
-        // The fused route: the same unfused program with the plan-level
-        // fusion pass in faithful-codegen mode — bit-identical schedules to
-        // the removed model-level `fuse_model` route.
         let mut fus_dev = Device::gtx480();
-        let fus_out = run_gaspard_batch(
-            s,
-            &unfused,
-            &mut fus_dev,
-            0xD05C,
-            ExecOptions { optimize: simgpu::PlanOptLevel::FUSION_FAITHFUL, ..opts },
-        )?;
+        let (fus_out, _) = gaspard_run(&fused_plan, &mut fus_dev)?;
         rows.push(row("Gaspard2 fused", true, streams, pool, &fus_dev));
         fused_outputs_match &= unf_out == fus_out;
     }
@@ -706,7 +704,6 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
         })
         .map_err(cfg_err)?;
 
-    let base = ExecOptions { executed: 1, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
     let launch_steps = |plan: &simgpu::LaunchPlan<'_>| {
         plan.steps.iter().filter(|st| matches!(st, simgpu::PlanStep::Launch { .. })).count()
     };
@@ -719,9 +716,8 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
         let mut plan = built.plan(route).map_err(cfg_err)?;
         simgpu::planopt::optimize(&mut plan, level).map_err(sched_err)?;
         let mut dev = Device::gtx480();
-        let (outs, _) = built
-            .run(route, &mut dev, &ExecOptions { optimize: level, ..base })
-            .map_err(cfg_err)?;
+        let (outs, _) =
+            built.run(route, &plan, &mut dev, 1, &ExecOptions::default()).map_err(cfg_err)?;
         Ok(FusionParityRow {
             config: label.into(),
             route: route.name().into(),
@@ -748,7 +744,11 @@ pub fn fusion_parity_ablation(s: &Scenario) -> Result<FusionParityAblation, Pipe
         let mut dev = Device::gtx480();
         let frames = wlf_on.frames(Route::Gaspard, 1);
         let (outs, _) = simgpu::BatchScheduler::new(&plan)
-            .run(&mut dev, &frames, &ExecOptions { total_frames: spec.frames, ..base })
+            .run(
+                &mut dev,
+                &frames,
+                &ExecOptions { total_frames: spec.frames, ..Default::default() },
+            )
             .map_err(sched_err)?;
         Ok(FusionParityRow {
             config: "Gaspard2 fuse_model".into(),
@@ -881,17 +881,12 @@ pub fn planopt_ablation(s: &Scenario) -> Result<PlanoptAblation, PipelineError> 
         for &(streams, pool) in &[(1usize, false), (2, true)] {
             let mut baseline = None;
             for (passes, level) in levels {
-                let opts = ExecOptions {
-                    streams,
-                    pool,
-                    executed: 1,
-                    host_ns_per_op: HOST_NS_PER_OP,
-                    optimize: *level,
-                    ..Default::default()
-                };
+                let mut plan = gaspard::lower_plan_with(&route.opencl, placement);
+                simgpu::optimize(&mut plan, *level).map_err(GaspardError::from)?;
+                let opts = ExecOptions { streams, pool, ..Default::default() };
                 let mut dev = Device::gtx480();
                 let (outs, stats) =
-                    run_gaspard_batch_placed(s, route, &mut dev, 0xD05C, opts, placement)?;
+                    run_batch(s, &plan, &mut dev, 0xD05C, 1, &opts).map_err(GaspardError::from)?;
                 match &baseline {
                     None => baseline = Some(outs),
                     Some(base) => outputs_match &= *base == outs,
@@ -953,13 +948,14 @@ pub fn totals_with_calibration(
     let mut device = Device::gtx480();
     device.set_calibration(calib.clone());
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, 0xD05C).frame_channels(0);
-    gaspard::run_opencl(&route.opencl, &mut device, &channels)?;
+    run_frame(&gaspard::lower_plan(&route.opencl), &mut device, channels)
+        .map_err(GaspardError::from)?;
     let gaspard_total = device.now_us() * s.frames as f64 / 1e6;
     // SaC non-generic.
     let route = build_sac(s, Variant::NonGeneric, Part::Full, &Default::default())?;
     let mut device = Device::gtx480();
     device.set_calibration(calib);
-    run_on_device_opts(&route.cuda, &mut device, &[test_frame(s)], default_exec(s))?;
+    run_frame(&sac_plan(s, &route)?, &mut device, vec![test_frame(s)]).map_err(CudaError::from)?;
     let sac_total = device.now_us() * s.frames as f64 / 1e6;
     Ok((sac_total, gaspard_total))
 }
@@ -1086,13 +1082,7 @@ pub fn serve_ablation(s: &Scenario) -> Result<ServeAblation, PipelineError> {
     // jobs; smaller scenarios shrink proportionally (min 4 jobs, 1 frame).
     let fpj = (s.frames / 60).max(1);
     let jobs_n = (s.frames / fpj).max(4);
-    let exec = ExecOptions {
-        streams: 2,
-        executed: 1,
-        pool: true,
-        host_ns_per_op: HOST_NS_PER_OP,
-        ..Default::default()
-    };
+    let exec = ExecOptions { streams: 2, pool: true, ..Default::default() };
 
     // Measure the job shape once on a scratch device; every serving run
     // (any width, any policy) replays this same template, which is what
@@ -1380,23 +1370,23 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<ScenariosAblation, PipelineErr
         // bit-checks (per-frame cost is content-independent); the temporal
         // entry executes three so the carry chain is actually exercised.
         let executed = if w.temporal() { 3.min(w.frames) } else { 1 };
-        let base = ExecOptions { executed, host_ns_per_op: HOST_NS_PER_OP, ..Default::default() };
-        let configs: [(&str, ExecOptions); 3] = [
-            ("serial", base),
-            ("pipelined", ExecOptions { streams: 2, pool: true, ..base }),
-            (
-                "planopt",
-                ExecOptions { streams: 2, pool: true, optimize: simgpu::PlanOptLevel::ALL, ..base },
-            ),
+        let pipelined = ExecOptions { streams: 2, pool: true, ..Default::default() };
+        let configs = [
+            ("serial", ExecOptions::default(), simgpu::PlanOptLevel::OFF),
+            ("pipelined", pipelined, simgpu::PlanOptLevel::OFF),
+            ("planopt", pipelined, simgpu::PlanOptLevel::ALL),
         ];
 
         let mut serial_outs: Vec<Vec<NdArray<i64>>> = Vec::new();
         for route in scenarios::Route::BOTH {
             let mut cfg_outs: Vec<Vec<NdArray<i64>>> = Vec::new();
             let mut cfg_times = Vec::new();
-            for (config, opts) in &configs {
+            for (config, opts, level) in &configs {
+                let mut plan = built.plan(route).map_err(cfg_err)?;
+                simgpu::optimize(&mut plan, *level).map_err(|e| cfg_err(e.into()))?;
                 let mut device = Device::gtx480();
-                let (outs, stats) = built.run(route, &mut device, opts).map_err(cfg_err)?;
+                let (outs, stats) =
+                    built.run(route, &plan, &mut device, executed, opts).map_err(cfg_err)?;
                 let outputs_ok = outs.iter().enumerate().all(|(f, o)| *o == built.reference(f));
                 rows.push(ScenarioRow {
                     scenario: w.name.into(),
@@ -1422,13 +1412,7 @@ pub fn scenarios_ablation(s: &Scenario) -> Result<ScenariosAblation, PipelineErr
         // job (bit-checked), the rest replaying a captured template.
         let plan = built.plan(scenarios::Route::Gaspard).map_err(cfg_err)?;
         let mix = w.mix;
-        let exec = ExecOptions {
-            streams: 2,
-            executed: 1,
-            pool: true,
-            host_ns_per_op: HOST_NS_PER_OP,
-            ..Default::default()
-        };
+        let exec = ExecOptions { streams: 2, pool: true, ..Default::default() };
         let mut templates = BTreeMap::new();
         let mut probe = Device::gtx480();
         probe.set_pool_enabled(true);
@@ -1576,11 +1560,11 @@ mod tests {
         let rows = streams_ablation(&s, &[1]).unwrap();
 
         let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
+        let plan = sac_plan(&s, &route).unwrap();
         let mut device = Device::gtx480();
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 0xD05C);
         for f in 0..s.frames {
-            run_on_device_opts(&route.cuda, &mut device, &[gen.frame_rank3(f)], default_exec(&s))
-                .unwrap();
+            run_frame(&plan, &mut device, vec![gen.frame_rank3(f)]).unwrap();
         }
         assert_eq!(rows[0].sac_s, device.now_us() / 1e6);
     }

@@ -36,8 +36,6 @@ use simgpu::cost::CostModelSpec;
 use simgpu::schedule::ExecOptions;
 use simgpu::Device;
 
-use crate::calibration::HOST_NS_PER_OP;
-
 /// Named [`simgpu::PlanOptLevel`] subsets the tuner searches.
 fn presets() -> [(&'static str, simgpu::PlanOptLevel); 4] {
     [
@@ -176,19 +174,6 @@ impl<'a> Tuner<'a> {
         }
     }
 
-    fn opts(&self, cand: Cand, cost: CostModelSpec) -> ExecOptions {
-        ExecOptions {
-            streams: STREAMS[cand.streams_ix],
-            executed: self.executed(),
-            channel_chunks: self.chunk_domains[cand.route_ix][cand.chunk_ix],
-            host_ns_per_op: HOST_NS_PER_OP,
-            pool: POOLS[cand.pool_ix],
-            optimize: presets()[cand.opt_ix].1,
-            cost,
-            ..Default::default()
-        }
-    }
-
     /// One oracle run: simulated full-batch makespan in seconds, plus the
     /// run counters and a reference bit-check of the functional frames.
     fn run(
@@ -197,15 +182,17 @@ impl<'a> Tuner<'a> {
         cost: CostModelSpec,
     ) -> Result<(f64, usize, bool), scenarios::ScenarioError> {
         let route = Route::BOTH[cand.route_ix];
-        let opts = self.opts(cand, cost);
+        let chunks = self.chunk_domains[cand.route_ix][cand.chunk_ix];
+        let mut plan = self.built.plan_placed(route, chunks, PLACEMENTS[cand.place_ix])?;
+        simgpu::optimize(&mut plan, presets()[cand.opt_ix].1)?;
+        let opts = ExecOptions {
+            streams: STREAMS[cand.streams_ix],
+            pool: POOLS[cand.pool_ix],
+            cost,
+            ..Default::default()
+        };
         let mut device = Device::gtx480();
-        let (outs, stats) = self.built.run_placed(
-            route,
-            &mut device,
-            &opts,
-            opts.channel_chunks,
-            PLACEMENTS[cand.place_ix],
-        )?;
+        let (outs, stats) = self.built.run(route, &plan, &mut device, self.executed(), &opts)?;
         let ok = outs.iter().enumerate().all(|(f, o)| *o == self.built.reference(f));
         Ok((device.now_us() / 1e6, stats.launches, ok))
     }

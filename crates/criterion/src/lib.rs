@@ -84,11 +84,6 @@ impl BenchmarkId {
     pub fn new(function: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
         BenchmarkId { label: format!("{}/{}", function.into(), parameter) }
     }
-
-    /// A bare parameter id.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { label: parameter.to_string() }
-    }
 }
 
 impl From<&str> for BenchmarkId {
@@ -135,11 +130,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(group: &str, name: &str, samples: usize, mu
     let median = times[times.len() / 2];
     let best = times[0];
     println!("{full:<48} median {median:>12.3?}   best {best:>12.3?}   ({samples} samples)");
-}
-
-/// Convert `Duration` to fractional seconds (used by some reporters).
-pub fn duration_to_secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 /// Declare a benchmark group function list, mirroring criterion's macro.

@@ -4,14 +4,13 @@ use crate::frames::FrameGenerator;
 use crate::sac_src::{program_src, Part, Variant};
 use crate::scenario::Scenario;
 use gaspard::codegen::{generate_opencl, OpenClProgram};
-use gaspard::exec::run_opencl_frames;
 use gaspard::transform::{deploy, schedule, ScheduledModel};
 use gaspard::Platform;
 use mdarray::NdArray;
 use sac_cuda::codegen::{compile_flat_program, CudaProgram};
-use sac_cuda::exec::run_frames_pipelined;
 use sac_lang::opt::{optimize, ArgDesc, OptConfig, OptReport};
 use sac_lang::wir::FlatProgram;
+use simgpu::schedule::{BatchOutput, BatchScheduler, LaunchPlan, ScheduleError};
 
 pub use simgpu::schedule::ExecOptions;
 
@@ -128,93 +127,32 @@ pub fn fused_gaspard_plan<'a>(
     Ok(plan)
 }
 
-/// Frames executed functionally for a scenario under `opts`: the remaining
-/// frames are timing-replayed from the first frame's measured schedule.
-fn executed_frames(opts: &ExecOptions, s: &Scenario) -> usize {
-    if opts.executed == 0 {
-        s.frames
-    } else {
-        opts.executed.min(s.frames)
-    }
-}
-
-/// Drive the whole scenario (all `s.frames` frames) through the SaC→CUDA
-/// route's stream pipeline. Returns the functionally executed frames'
-/// results; `device.now_us()` afterwards is the batch makespan.
-pub fn run_sac_batch(
+/// Drive the scenario's video through an already lowered route plan.
+///
+/// Frames `0..executed` are generated in the plan's input layout and run
+/// functionally; the batch is timing-replayed out to all `s.frames` frames.
+/// A plan taking one rank-3 `[channels, rows, cols]` input (the SaC route)
+/// gets rank-3 frames, any other plan (the GASPARD2 route) one plane per
+/// channel. Returns the functional frames' plan outputs and the whole
+/// batch's counters; `device.now_us()` afterwards is the batch makespan.
+/// Scheduler failures are returned as they are — `CudaError::from` /
+/// `GaspardError::from` report them as the route's error.
+pub fn run_batch(
     s: &Scenario,
-    route: &SacRoute,
+    plan: &LaunchPlan<'_>,
     device: &mut simgpu::Device,
     seed: u64,
-    opts: ExecOptions,
-) -> Result<Vec<NdArray<i64>>, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
+    executed: usize,
+    opts: &ExecOptions,
+) -> Result<BatchOutput, ScheduleError> {
     device.set_pool_enabled(opts.pool);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
-    let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| vec![gen.frame_rank3(f)]).collect();
-    // The scenario decides frame chunking and batch length; everything else
-    // (streams, host cost, pool, degradation) flows through from the caller.
-    let (outs, _) = run_frames_pipelined(
-        &route.cuda,
-        device,
-        &frames,
-        ExecOptions { channel_chunks: s.channels, total_frames: s.frames, ..opts },
-    )?;
-    Ok(outs)
-}
-
-/// Drive the whole scenario through the GASPARD→OpenCL route's command-queue
-/// pipeline. Returns per-frame channel planes for the functionally executed
-/// frames; `device.now_us()` afterwards is the batch makespan.
-pub fn run_gaspard_batch(
-    s: &Scenario,
-    route: &GaspardRoute,
-    device: &mut simgpu::Device,
-    seed: u64,
-    opts: ExecOptions,
-) -> Result<Vec<Vec<NdArray<i64>>>, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
-    device.set_pool_enabled(opts.pool);
-    let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
-    let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| gen.frame_channels(f)).collect();
-    let outs = run_opencl_frames(
-        &route.opencl,
-        device,
-        &frames,
-        ExecOptions { total_frames: s.frames, ..opts },
-    )?;
-    Ok(outs)
-}
-
-/// [`run_gaspard_batch`] with an explicit intermediate placement; also
-/// returns the run's transfer counters (including bytes moved), which the
-/// planopt ablation reports. [`gaspard::Placement::PerKernelRoundTrip`] is
-/// the maximally redundant baseline — with `opts.optimize` enabling the
-/// residency and dead-transfer passes, the executed schedule collapses back
-/// to the device-resident placement.
-pub fn run_gaspard_batch_placed(
-    s: &Scenario,
-    route: &GaspardRoute,
-    device: &mut simgpu::Device,
-    seed: u64,
-    opts: ExecOptions,
-    placement: gaspard::Placement,
-) -> Result<simgpu::schedule::BatchOutput, PipelineError> {
-    opts.validate().map_err(PipelineError::Config)?;
-    device.set_pool_enabled(opts.pool);
-    let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
-    let frames: Vec<Vec<NdArray<i64>>> =
-        (0..executed_frames(&opts, s)).map(|f| gen.frame_channels(f)).collect();
-    let out = gaspard::run_opencl_frames_placed(
-        &route.opencl,
-        device,
-        &frames,
-        ExecOptions { total_frames: s.frames, ..opts },
-        placement,
-    )?;
-    Ok(out)
+    let rank3 =
+        matches!(plan.inputs[..], [i] if plan.arrays.get(i).is_some_and(|a| a.shape.len() == 3));
+    let frames: Vec<Vec<NdArray<i64>>> = (0..executed)
+        .map(|f| if rank3 { vec![gen.frame_rank3(f)] } else { gen.frame_channels(f) })
+        .collect();
+    BatchScheduler::new(plan).run(device, &frames, &ExecOptions { total_frames: s.frames, ..*opts })
 }
 
 /// Golden-model downscale of a rank-3 `[channels, rows, cols]` frame.
@@ -238,8 +176,23 @@ pub fn reference_horizontal(s: &Scenario, frame: &NdArray<i64>) -> NdArray<i64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_cuda::exec::{run_on_device, HostCost};
     use simgpu::device::Device;
+
+    /// One serial frame through `plan`.
+    fn run_one(
+        plan: &LaunchPlan<'_>,
+        device: &mut Device,
+        inputs: Vec<NdArray<i64>>,
+    ) -> Vec<NdArray<i64>> {
+        let (mut outs, _) =
+            BatchScheduler::new(plan).run(device, &[inputs], &ExecOptions::default()).unwrap();
+        outs.pop().unwrap()
+    }
+
+    /// The SaC plan's single output per functional frame.
+    fn sac_outs((outs, _): BatchOutput) -> Vec<NdArray<i64>> {
+        outs.into_iter().map(|mut o| o.pop().unwrap()).collect()
+    }
 
     #[test]
     fn nongeneric_route_reproduces_paper_kernel_counts() {
@@ -279,15 +232,9 @@ mod tests {
         let expect = reference_downscale(&s, &frame);
         for variant in [Variant::Generic, Variant::NonGeneric] {
             let route = build_sac(&s, variant, Part::Full, &OptConfig::default()).unwrap();
-            let mut device = Device::gtx480();
-            let (got, _) = run_on_device(
-                &route.cuda,
-                &mut device,
-                std::slice::from_ref(&frame),
-                HostCost::default(),
-            )
-            .unwrap();
-            assert_eq!(got, expect, "variant {variant:?}");
+            let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
+            let got = run_one(&plan, &mut Device::gtx480(), vec![frame.clone()]);
+            assert_eq!(got, std::slice::from_ref(&expect), "variant {variant:?}");
         }
     }
 
@@ -314,8 +261,8 @@ mod tests {
 
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 123);
         let channels = gen.frame_channels(0);
-        let mut device = Device::gtx480();
-        let outs = gaspard::run_opencl(&route.opencl, &mut device, &channels).unwrap();
+        let plan = gaspard::lower_plan(&route.opencl);
+        let outs = run_one(&plan, &mut Device::gtx480(), channels.clone());
         for (c, ch) in channels.iter().enumerate() {
             let expect = crate::filter::downscale_channel(ch, &s.h, &s.v);
             assert_eq!(outs[c], expect, "channel {c}");
@@ -355,20 +302,17 @@ mod tests {
         let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
 
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
+        let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
         let gasp = build_gaspard(&s).unwrap();
+        let gasp = gaspard::lower_plan(&gasp.opencl);
+        let two = ExecOptions { streams: 2, ..Default::default() };
 
         let mut sac_sync = Device::gtx480();
-        let sync_outs =
-            run_sac_batch(&s, &sac, &mut sac_sync, seed, ExecOptions::default()).unwrap();
+        let sync_outs = sac_outs(
+            run_batch(&s, &sac, &mut sac_sync, seed, s.frames, &Default::default()).unwrap(),
+        );
         let mut sac_db = Device::gtx480();
-        let db_outs = run_sac_batch(
-            &s,
-            &sac,
-            &mut sac_db,
-            seed,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let db_outs = sac_outs(run_batch(&s, &sac, &mut sac_db, seed, s.frames, &two).unwrap());
         for (f, out) in db_outs.iter().enumerate() {
             assert_eq!(out, &reference_downscale(&s, &gen.frame_rank3(f)), "frame {f}");
         }
@@ -376,17 +320,10 @@ mod tests {
         assert!(sac_db.now_us() < sac_sync.now_us());
 
         let mut g_sync = Device::gtx480();
-        let g_sync_outs =
-            run_gaspard_batch(&s, &gasp, &mut g_sync, seed, ExecOptions::default()).unwrap();
+        let (g_sync_outs, _) =
+            run_batch(&s, &gasp, &mut g_sync, seed, s.frames, &Default::default()).unwrap();
         let mut g_db = Device::gtx480();
-        let g_db_outs = run_gaspard_batch(
-            &s,
-            &gasp,
-            &mut g_db,
-            seed,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let (g_db_outs, _) = run_batch(&s, &gasp, &mut g_db, seed, s.frames, &two).unwrap();
         assert_eq!(g_db_outs, g_sync_outs);
         assert!(g_db.now_us() < g_sync.now_us());
     }
@@ -395,14 +332,20 @@ mod tests {
     fn zero_streams_is_a_typed_config_error() {
         let s = Scenario::tiny();
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
+        let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
         let gasp = build_gaspard(&s).unwrap();
+        let gasp = gaspard::lower_plan(&gasp.opencl);
         let bad = ExecOptions { streams: 0, ..Default::default() };
 
         let mut d = Device::gtx480();
-        let err = run_sac_batch(&s, &sac, &mut d, 1, bad);
-        assert!(matches!(err, Err(PipelineError::Config(_))), "{err:?}");
-        let err = run_gaspard_batch(&s, &gasp, &mut d, 1, bad);
-        assert!(matches!(err, Err(PipelineError::Config(_))), "{err:?}");
+        let err = run_batch(&s, &sac, &mut d, 1, s.frames, &bad);
+        assert!(matches!(err, Err(ScheduleError::Config(_))), "{err:?}");
+        let err = run_batch(&s, &gasp, &mut d, 1, s.frames, &bad);
+        assert!(matches!(err, Err(ScheduleError::Config(_))), "{err:?}");
+        // Through the route error, it stays a typed config error.
+        let err =
+            sac_cuda::CudaError::from(run_batch(&s, &sac, &mut d, 1, s.frames, &bad).unwrap_err());
+        assert!(matches!(err, sac_cuda::CudaError::Config(_)), "{err:?}");
         // Rejected before anything touched the device.
         assert_eq!(d.now_us(), 0.0);
         assert_eq!(d.profiler.records().count(), 0);
@@ -415,18 +358,14 @@ mod tests {
         let s = Scenario::tiny();
         let seed = 5;
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
+        let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
 
         let mut naive = Device::gtx480();
-        let naive_outs = run_sac_batch(&s, &sac, &mut naive, seed, ExecOptions::default()).unwrap();
+        let (naive_outs, _) =
+            run_batch(&s, &sac, &mut naive, seed, s.frames, &Default::default()).unwrap();
         let mut pooled = Device::gtx480();
-        let pooled_outs = run_sac_batch(
-            &s,
-            &sac,
-            &mut pooled,
-            seed,
-            ExecOptions { pool: true, ..Default::default() },
-        )
-        .unwrap();
+        let pool = ExecOptions { pool: true, ..Default::default() };
+        let (pooled_outs, _) = run_batch(&s, &sac, &mut pooled, seed, s.frames, &pool).unwrap();
 
         assert_eq!(pooled_outs, naive_outs);
         assert_eq!(pooled.now_us(), naive.now_us());
@@ -446,14 +385,13 @@ mod tests {
         let frame3 = FrameGenerator::stack(&frame_planes);
 
         let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &OptConfig::default()).unwrap();
-        let mut dev1 = Device::gtx480();
-        let (sac_out, _) =
-            run_on_device(&sac.cuda, &mut dev1, &[frame3], HostCost::default()).unwrap();
+        let sac_plan = sac_cuda::lower_plan(&sac.cuda, 0).unwrap();
+        let sac_out = run_one(&sac_plan, &mut Device::gtx480(), vec![frame3]);
 
         let gasp = build_gaspard(&s).unwrap();
-        let mut dev2 = Device::gtx480();
-        let gasp_out = gaspard::run_opencl(&gasp.opencl, &mut dev2, &frame_planes).unwrap();
+        let gasp_plan = gaspard::lower_plan(&gasp.opencl);
+        let gasp_out = run_one(&gasp_plan, &mut Device::gtx480(), frame_planes);
         let gasp_stacked = FrameGenerator::stack(&gasp_out);
-        assert_eq!(sac_out, gasp_stacked);
+        assert_eq!(sac_out, [gasp_stacked]);
     }
 }

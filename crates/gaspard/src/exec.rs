@@ -6,22 +6,16 @@
 //! back with intermediates staying in device memory, and every sink array is
 //! read back (`memcpyDtoHasync`).
 //!
-//! Since the launch-plan refactor this module contains no executor of its
-//! own: [`lower_plan`] projects a scheduled model's kernel list onto the
-//! route-agnostic [`simgpu::schedule::LaunchPlan`] IR, and both entry points
-//! are thin wrappers over [`simgpu::schedule::BatchScheduler`] — the same
-//! engine that executes the SaC→CUDA route, so command-queue pipelining,
-//! OOM degradation and timing replay are shared code, not reimplementations.
+//! This module contains no executor of its own: [`lower_plan`] projects a
+//! scheduled model's kernel list onto the route-agnostic
+//! [`simgpu::schedule::LaunchPlan`] IR, and a program runs as lower →
+//! [`simgpu::optimize`] → [`simgpu::schedule::BatchScheduler::run`] — the
+//! same engine that executes the SaC→CUDA route, so command-queue
+//! pipelining, OOM degradation and timing replay are shared code, not
+//! reimplementations.
 
 use crate::codegen::OpenClProgram;
-use crate::GaspardError;
-use mdarray::NdArray;
-use simgpu::schedule::{
-    ArrayDecl, BatchScheduler, LaunchPlan, PlanKernel, PlanStep, RunStats, ScheduleError,
-};
-use simgpu::Device;
-
-pub use simgpu::schedule::ExecOptions;
+use simgpu::schedule::{ArrayDecl, LaunchPlan, PlanKernel, PlanStep};
 
 /// Where the generated host loop keeps intermediate arrays.
 ///
@@ -38,20 +32,6 @@ pub enum Placement {
     /// Every kernel's input is uploaded and its output downloaded — the
     /// maximally redundant placement used as the planopt ablation baseline.
     PerKernelRoundTrip,
-}
-
-/// Map a scheduler error back onto this route's error type.
-fn from_schedule(e: ScheduleError) -> GaspardError {
-    match e {
-        ScheduleError::Sim(e) => GaspardError::Sim(e),
-        ScheduleError::Overflow { value } => {
-            GaspardError::BadInput { msg: format!("value {value} does not fit a device int") }
-        }
-        ScheduleError::Input(msg) | ScheduleError::Plan(msg) | ScheduleError::Host(msg) => {
-            GaspardError::BadInput { msg }
-        }
-        ScheduleError::Config(msg) => GaspardError::Config(msg),
-    }
 }
 
 /// Lower a generated OpenCL program to the route-agnostic launch-plan IR.
@@ -132,76 +112,6 @@ pub fn lower_plan_with(prog: &OpenClProgram, placement: Placement) -> LaunchPlan
     }
 }
 
-/// Execute the program once (one frame set) on `device`.
-///
-/// `inputs` are bound positionally to the scheduled model's source arrays;
-/// the returned vector holds one array per sink, in model order. Buffers are
-/// released before returning (per-frame cleanup, as the generated host loop
-/// does).
-pub fn run_opencl(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-) -> Result<Vec<NdArray<i64>>, GaspardError> {
-    let plan = lower_plan(prog);
-    let frames = [inputs.to_vec()];
-    let (mut outs, _) = BatchScheduler::new(&plan)
-        .run(device, &frames, &ExecOptions::default())
-        .map_err(from_schedule)?;
-    Ok(outs.pop().expect("one frame in, one frame out"))
-}
-
-/// Execute a batch of frames with multi-queue double buffering.
-///
-/// A thin wrapper: lowers `prog` with [`lower_plan`] and hands the batch to
-/// [`BatchScheduler`]. Frame `f` runs on command queue `f % streams` (an
-/// OpenCL command queue is the simulator's stream) with that queue's private
-/// buffer set; in-order queues protect in-place buffer reuse while adjacent
-/// frames overlap upload, kernels, and readback on the device's three
-/// engines. Returns one sink-array vector per functionally executed frame.
-/// The device is synchronized on return, so `device.now_us()` is the batch
-/// makespan. Timing replay ([`ExecOptions::total_frames`]) and the
-/// OOM-degradation ladder ([`ExecOptions::degrade_on_oom`]) behave exactly
-/// as on the SaC route — they are the same code.
-pub fn run_opencl_frames(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-) -> Result<Vec<Vec<NdArray<i64>>>, GaspardError> {
-    let (outs, _) = run_opencl_frames_placed(prog, device, frames, opts, Placement::Resident)?;
-    Ok(outs)
-}
-
-/// [`run_opencl_frames`] with an explicit intermediate [`Placement`]; also
-/// returns the run's transfer/launch counters.
-///
-/// When `opts.optimize` enables any `simgpu::planopt` pass, the lowered plan
-/// is rewritten before scheduling and each pass's change note is surfaced as
-/// a profiler note next to the timings.
-pub fn run_opencl_frames_placed(
-    prog: &OpenClProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-    placement: Placement,
-) -> Result<simgpu::schedule::BatchOutput, GaspardError> {
-    if frames.is_empty() {
-        return Ok((Vec::new(), RunStats::default()));
-    }
-    // Surface pass-level observations (fusion decisions, refusal fallbacks)
-    // once per batch, so ablation reports can show them next to the timings.
-    for note in &prog.notes {
-        device.profiler.note(note.clone());
-    }
-    let mut plan = lower_plan_with(prog, placement);
-    let report = simgpu::planopt::optimize(&mut plan, opts.optimize).map_err(from_schedule)?;
-    for note in report.notes {
-        device.profiler.note(note);
-    }
-    BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,8 +119,47 @@ mod tests {
     use crate::fixtures::mini_two_stage_model;
     use crate::model::Platform;
     use crate::transform::{deploy, schedule, to_arrayol};
+    use crate::GaspardError;
     use arrayol::exec::{execute, ExecOptions as ArrayOlExecOptions};
+    use mdarray::NdArray;
+    use simgpu::schedule::{BatchOutput, BatchScheduler, ExecOptions};
+    use simgpu::Device;
     use std::collections::HashMap;
+
+    /// Lower with `placement`, optimize at `level` and schedule a batch.
+    fn run_placed(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: &ExecOptions,
+        placement: Placement,
+        level: simgpu::PlanOptLevel,
+    ) -> Result<(BatchOutput, simgpu::PlanOptReport), GaspardError> {
+        let mut plan = lower_plan_with(prog, placement);
+        let report = simgpu::optimize(&mut plan, level)?;
+        Ok((BatchScheduler::new(&plan).run(device, frames, opts)?, report))
+    }
+
+    /// The resident plan's per-frame outputs.
+    fn run_frames(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: &ExecOptions,
+    ) -> Result<Vec<Vec<NdArray<i64>>>, GaspardError> {
+        let plan = lower_plan(prog);
+        Ok(BatchScheduler::new(&plan).run(device, frames, opts)?.0)
+    }
+
+    /// One serial frame at the default options.
+    fn run_one(
+        prog: &OpenClProgram,
+        device: &mut Device,
+        inputs: &[NdArray<i64>],
+    ) -> Result<Vec<NdArray<i64>>, GaspardError> {
+        let mut outs = run_frames(prog, device, &[inputs.to_vec()], &ExecOptions::default())?;
+        Ok(outs.pop().expect("one frame"))
+    }
 
     fn compiled() -> OpenClProgram {
         let (model, alloc) = mini_two_stage_model();
@@ -233,7 +182,7 @@ mod tests {
 
         // Generated OpenCL on the simulator.
         let mut device = Device::gtx480();
-        let got = run_opencl(&prog, &mut device, &[frame]).unwrap();
+        let got = run_one(&prog, &mut device, &[frame]).unwrap();
         assert_eq!(&got[0], expect);
         assert!(device.now_us() > 0.0);
     }
@@ -243,7 +192,7 @@ mod tests {
         let prog = compiled();
         let frame = NdArray::filled([4usize, 16], 9i64);
         let mut device = Device::gtx480();
-        run_opencl(&prog, &mut device, &[frame]).unwrap();
+        run_one(&prog, &mut device, &[frame]).unwrap();
         let names: Vec<&str> = device.profiler.records().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"memcpyHtoDasync"));
         assert!(names.contains(&"memcpyDtoHasync"));
@@ -255,10 +204,10 @@ mod tests {
     fn input_validation() {
         let prog = compiled();
         let mut device = Device::gtx480();
-        assert!(matches!(run_opencl(&prog, &mut device, &[]), Err(GaspardError::BadInput { .. })));
+        assert!(matches!(run_one(&prog, &mut device, &[]), Err(GaspardError::BadInput { .. })));
         let wrong = NdArray::filled([3usize, 3], 0i64);
         assert!(matches!(
-            run_opencl(&prog, &mut device, &[wrong]),
+            run_one(&prog, &mut device, &[wrong]),
             Err(GaspardError::BadInput { .. })
         ));
     }
@@ -267,11 +216,11 @@ mod tests {
     fn zero_queues_is_rejected_by_the_unified_validation() {
         let prog = compiled();
         let mut device = Device::gtx480();
-        let err = run_opencl_frames(
+        let err = run_frames(
             &prog,
             &mut device,
             &queue_frames(2),
-            ExecOptions { streams: 0, ..Default::default() },
+            &ExecOptions { streams: 0, ..Default::default() },
         );
         assert!(matches!(err, Err(GaspardError::Config(_))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
@@ -296,15 +245,15 @@ mod tests {
         let mut serial = Device::gtx480();
         let mut serial_outs = Vec::new();
         for f in &frames {
-            serial_outs.push(run_opencl(&prog, &mut serial, f).unwrap());
+            serial_outs.push(run_one(&prog, &mut serial, f).unwrap());
         }
 
         let mut piped = Device::gtx480();
-        let outs = run_opencl_frames(
+        let outs = run_frames(
             &prog,
             &mut piped,
             &frames,
-            ExecOptions { streams: 1, ..Default::default() },
+            &ExecOptions { streams: 1, ..Default::default() },
         )
         .unwrap();
 
@@ -321,22 +270,18 @@ mod tests {
         let frames = queue_frames(6);
 
         let mut sync = Device::gtx480();
-        let expect = run_opencl_frames(
+        let expect = run_frames(
             &prog,
             &mut sync,
             &frames,
-            ExecOptions { streams: 1, ..Default::default() },
+            &ExecOptions { streams: 1, ..Default::default() },
         )
         .unwrap();
 
         let mut db = Device::gtx480();
-        let got = run_opencl_frames(
-            &prog,
-            &mut db,
-            &frames,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let got =
+            run_frames(&prog, &mut db, &frames, &ExecOptions { streams: 2, ..Default::default() })
+                .unwrap();
 
         assert_eq!(got, expect);
         assert!(db.now_us() < sync.now_us(), "{} !< {}", db.now_us(), sync.now_us());
@@ -351,16 +296,17 @@ mod tests {
         let opts = ExecOptions { streams: 2, ..Default::default() };
 
         let mut resident = Device::gtx480();
-        let expect = run_opencl_frames(&prog, &mut resident, &frames, opts).unwrap();
+        let expect = run_frames(&prog, &mut resident, &frames, &opts).unwrap();
 
         // The per-kernel round-trip placement is correct but moves more data.
         let mut naive = Device::gtx480();
-        let (naive_outs, naive_stats) = run_opencl_frames_placed(
+        let ((naive_outs, naive_stats), _) = run_placed(
             &prog,
             &mut naive,
             &frames,
-            opts,
+            &opts,
             Placement::PerKernelRoundTrip,
+            simgpu::PlanOptLevel::OFF,
         )
         .unwrap();
         assert_eq!(naive_outs, expect);
@@ -368,12 +314,13 @@ mod tests {
 
         // planopt strips the round trips back out of the naive placement.
         let mut opt = Device::gtx480();
-        let (opt_outs, opt_stats) = run_opencl_frames_placed(
+        let ((opt_outs, opt_stats), report) = run_placed(
             &prog,
             &mut opt,
             &frames,
-            ExecOptions { optimize: simgpu::PlanOptLevel::ALL, ..opts },
+            &opts,
             Placement::PerKernelRoundTrip,
+            simgpu::PlanOptLevel::ALL,
         )
         .unwrap();
         assert_eq!(opt_outs, expect);
@@ -385,7 +332,7 @@ mod tests {
         );
         assert!(opt_stats.d2h_bytes < naive_stats.d2h_bytes);
         assert!(opt.now_us() < naive.now_us(), "{} !< {}", opt.now_us(), naive.now_us());
-        assert!(opt.profiler.notes().any(|n| n.contains("planopt residency")));
+        assert!(report.notes.iter().any(|n| n.contains("planopt residency")), "{report:?}");
     }
 
     #[test]
@@ -393,20 +340,20 @@ mod tests {
         let prog = compiled();
 
         let mut full = Device::gtx480();
-        run_opencl_frames(
+        run_frames(
             &prog,
             &mut full,
             &queue_frames(6),
-            ExecOptions { streams: 2, ..Default::default() },
+            &ExecOptions { streams: 2, ..Default::default() },
         )
         .unwrap();
 
         let mut replay = Device::gtx480();
-        let outs = run_opencl_frames(
+        let outs = run_frames(
             &prog,
             &mut replay,
             &queue_frames(2),
-            ExecOptions { streams: 2, total_frames: 6, ..Default::default() },
+            &ExecOptions { streams: 2, total_frames: 6, ..Default::default() },
         )
         .unwrap();
 
@@ -422,11 +369,11 @@ mod tests {
 
         // Per-queue footprint, measured on an unconstrained device.
         let mut probe = Device::gtx480();
-        let expect = run_opencl_frames(
+        let expect = run_frames(
             &prog,
             &mut probe,
             &frames,
-            ExecOptions { streams: 1, ..Default::default() },
+            &ExecOptions { streams: 1, ..Default::default() },
         )
         .unwrap();
         let per_queue = probe.peak_allocated_bytes();
@@ -436,11 +383,11 @@ mod tests {
         // with bit-identical outputs and a recorded downgrade.
         let cfg = simgpu::DeviceConfig::toy(per_queue * 2);
         let mut naive = Device::new(cfg.clone(), simgpu::Calibration::gtx480());
-        let err = run_opencl_frames(
+        let err = run_frames(
             &prog,
             &mut naive,
             &frames,
-            ExecOptions { streams: 4, ..Default::default() },
+            &ExecOptions { streams: 4, ..Default::default() },
         );
         assert!(
             matches!(err, Err(GaspardError::Sim(simgpu::SimError::OutOfMemory { .. }))),
@@ -448,11 +395,11 @@ mod tests {
         );
 
         let mut degraded = Device::new(cfg, simgpu::Calibration::gtx480());
-        let outs = run_opencl_frames(
+        let outs = run_frames(
             &prog,
             &mut degraded,
             &frames,
-            ExecOptions { streams: 4, degrade_on_oom: true, ..Default::default() },
+            &ExecOptions { streams: 4, degrade_on_oom: true, ..Default::default() },
         )
         .unwrap();
         assert_eq!(outs, expect);
@@ -469,7 +416,7 @@ mod tests {
         let mut device = Device::gtx480();
         let frame = NdArray::filled([4usize, 16], 1i64);
         for _ in 0..5 {
-            run_opencl(&prog, &mut device, std::slice::from_ref(&frame)).unwrap();
+            run_one(&prog, &mut device, std::slice::from_ref(&frame)).unwrap();
         }
         let h2d = device.profiler.records().find(|r| r.name == "memcpyHtoDasync").unwrap();
         assert_eq!(h2d.calls, 5);

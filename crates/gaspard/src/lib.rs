@@ -40,10 +40,7 @@ pub mod openmp;
 pub mod transform;
 
 pub use codegen::{generate_opencl, OpenClProgram};
-pub use exec::{
-    lower_plan, lower_plan_with, run_opencl, run_opencl_frames, run_opencl_frames_placed,
-    ExecOptions, Placement,
-};
+pub use exec::{lower_plan, lower_plan_with, Placement};
 pub use model::{
     Allocation, Component, ComponentKind, Connection, ElementaryOp, HwKind, Model, PartRef,
     Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,
@@ -91,5 +88,22 @@ impl std::error::Error for GaspardError {}
 impl From<simgpu::SimError> for GaspardError {
     fn from(e: simgpu::SimError) -> Self {
         GaspardError::Sim(e)
+    }
+}
+
+/// A batch-scheduler failure, reported as this route's error.
+impl From<simgpu::ScheduleError> for GaspardError {
+    fn from(e: simgpu::ScheduleError) -> Self {
+        use simgpu::ScheduleError;
+        match e {
+            ScheduleError::Sim(e) => GaspardError::Sim(e),
+            ScheduleError::Overflow { value } => {
+                GaspardError::BadInput { msg: format!("value {value} does not fit a device int") }
+            }
+            ScheduleError::Input(msg) | ScheduleError::Plan(msg) | ScheduleError::Host(msg) => {
+                GaspardError::BadInput { msg }
+            }
+            ScheduleError::Config(msg) => GaspardError::Config(msg),
+        }
     }
 }

@@ -159,10 +159,12 @@ mod tests {
         let omp = run_openmp(&sm, std::slice::from_ref(&frame), 3).unwrap();
 
         let opencl = generate_opencl(&sm).unwrap();
+        let plan = crate::exec::lower_plan(&opencl);
         let mut device = Device::gtx480();
-        let ocl =
-            crate::exec::run_opencl(&opencl, &mut device, std::slice::from_ref(&frame)).unwrap();
-        assert_eq!(omp, ocl, "two targets, one model, one result");
+        let (mut ocl, _) = simgpu::BatchScheduler::new(&plan)
+            .run(&mut device, &[vec![frame]], &simgpu::ExecOptions::default())
+            .unwrap();
+        assert_eq!(omp, ocl.pop().unwrap(), "two targets, one model, one result");
     }
 
     #[test]

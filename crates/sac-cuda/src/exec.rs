@@ -1,11 +1,11 @@
 //! Execution of compiled SaC→CUDA programs on the simulated device.
 //!
-//! Since the launch-plan refactor this module contains no executor of its
-//! own: [`lower_plan`] flattens a [`CudaProgram`] into the route-agnostic
-//! [`simgpu::schedule::LaunchPlan`] IR (uploads and downloads chunked per
-//! colour channel, one `Launch` per compiled kernel, host-fallback steps
-//! wrapped as interpreter closures), and every entry point is a thin wrapper
-//! over [`simgpu::schedule::BatchScheduler`] — the shared engine that owns
+//! This module contains no executor of its own: [`lower_plan`] flattens a
+//! [`CudaProgram`] into the route-agnostic [`simgpu::schedule::LaunchPlan`]
+//! IR (uploads and downloads chunked per colour channel, one `Launch` per
+//! compiled kernel, host-fallback steps wrapped as interpreter closures).
+//! A program runs as lower → [`simgpu::optimize`] →
+//! [`simgpu::schedule::BatchScheduler::run`] — the shared engine that owns
 //! stream pipelining, buffer sets, OOM degradation and replay for both
 //! compilation routes.
 
@@ -16,42 +16,7 @@ use sac_lang::ast::Program;
 use sac_lang::eval::Interp;
 use sac_lang::value::Value;
 use sac_lang::wir::{HostBinding, Step};
-use simgpu::schedule::{
-    chunks_for, ArrayDecl, BatchScheduler, HostOp, LaunchPlan, PlanKernel, PlanStep, ScheduleError,
-};
-use simgpu::Device;
-
-pub use simgpu::schedule::{ExecOptions, RunStats};
-
-/// Cost model for work that stays on the host CPU (the generic output
-/// tiler). Charged as simulated time so Figure 9's generic-variant numbers
-/// include the host scatter the paper describes.
-#[derive(Debug, Clone, Copy)]
-pub struct HostCost {
-    /// Simulated nanoseconds per abstract interpreter operation.
-    pub ns_per_op: f64,
-}
-
-impl Default for HostCost {
-    fn default() -> Self {
-        // Calibrated alongside the sequential cost model (see the bench
-        // crate's `calibration` module): one abstract op of the scatter nest
-        // corresponds to a fraction of a compiled-C nanosecond.
-        HostCost { ns_per_op: 0.12 }
-    }
-}
-
-/// Map a scheduler error back onto this route's error type.
-fn from_schedule(e: ScheduleError) -> CudaError {
-    match e {
-        ScheduleError::Sim(e) => CudaError::Sim(e),
-        ScheduleError::Overflow { value } => CudaError::Overflow { value },
-        ScheduleError::Input(m) | ScheduleError::Plan(m) | ScheduleError::Host(m) => {
-            CudaError::Host(m)
-        }
-        ScheduleError::Config(m) => CudaError::Config(m),
-    }
-}
+use simgpu::schedule::{chunks_for, ArrayDecl, HostOp, LaunchPlan, PlanKernel, PlanStep};
 
 /// Lower a compiled CUDA program to the route-agnostic launch-plan IR.
 ///
@@ -157,97 +122,38 @@ pub fn lower_plan(prog: &CudaProgram, channel_chunks: usize) -> Result<LaunchPla
     })
 }
 
-/// Run the `opts.optimize` planopt passes over a freshly lowered plan,
-/// surfacing each pass's change note in the device profiler.
-fn optimize_plan(
-    plan: &mut LaunchPlan<'_>,
-    device: &mut Device,
-    opts: &ExecOptions,
-) -> Result<(), CudaError> {
-    let report = simgpu::planopt::optimize(plan, opts.optimize).map_err(from_schedule)?;
-    for note in report.notes {
-        device.profiler.note(note);
-    }
-    Ok(())
-}
-
-/// Execute `prog` once on `device` with the given input arrays.
-///
-/// All timing is simulated and recorded in the device's profiler; the
-/// returned array is the program result (bit-exact with the interpreter).
-pub fn run_on_device(
-    prog: &CudaProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-    host_cost: HostCost,
-) -> Result<(NdArray<i64>, RunStats), CudaError> {
-    run_on_device_opts(
-        prog,
-        device,
-        inputs,
-        ExecOptions { host_ns_per_op: host_cost.ns_per_op, ..Default::default() },
-    )
-}
-
-/// [`run_on_device`] with explicit [`ExecOptions`].
-///
-/// Executes exactly once, serially, on the default stream (only
-/// [`ExecOptions::host_ns_per_op`] and [`ExecOptions::channel_chunks`] are
-/// honoured; batch fields are overridden). The paper's per-frame runtime
-/// also releases its buffers after each frame, which the scheduler does on
-/// return.
-pub fn run_on_device_opts(
-    prog: &CudaProgram,
-    device: &mut Device,
-    inputs: &[NdArray<i64>],
-    opts: ExecOptions,
-) -> Result<(NdArray<i64>, RunStats), CudaError> {
-    let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_plan(&mut plan, device, &opts)?;
-    let frames = [inputs.to_vec()];
-    let serial = ExecOptions { streams: 1, total_frames: 0, ..opts };
-    let (mut outs, stats) =
-        BatchScheduler::new(&plan).run(device, &frames, &serial).map_err(from_schedule)?;
-    let mut frame = outs.pop().expect("one frame in, one frame out");
-    let result = frame.pop().expect("sac plans have exactly one output");
-    Ok((result, stats))
-}
-
-/// Execute a batch of frames with multi-stream double buffering.
-///
-/// A thin wrapper: lowers `prog` with [`lower_plan`] and hands the batch to
-/// [`BatchScheduler`], which assigns frame `f` to stream lane `f % streams`
-/// with a private buffer set, replays timing out to
-/// [`ExecOptions::total_frames`], and (with [`ExecOptions::degrade_on_oom`])
-/// walks the lane-halving degradation ladder on `OutOfMemory`. See the
-/// scheduler docs for the full contract; results, simulated clock and
-/// profiler records are identical to the pre-refactor route-local executor.
-pub fn run_frames_pipelined(
-    prog: &CudaProgram,
-    device: &mut Device,
-    frames: &[Vec<NdArray<i64>>],
-    opts: ExecOptions,
-) -> Result<(Vec<NdArray<i64>>, RunStats), CudaError> {
-    if frames.is_empty() {
-        return Ok((Vec::new(), RunStats::default()));
-    }
-    let mut plan = lower_plan(prog, opts.channel_chunks)?;
-    optimize_plan(&mut plan, device, &opts)?;
-    let (outs, stats) =
-        BatchScheduler::new(&plan).run(device, frames, &opts).map_err(from_schedule)?;
-    let outs = outs
-        .into_iter()
-        .map(|mut frame| frame.pop().expect("sac plans have exactly one output"))
-        .collect();
-    Ok((outs, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codegen::compile_flat_program;
     use sac_lang::opt::{optimize, ArgDesc, OptConfig};
     use sac_lang::parser::parse_program;
+    use simgpu::schedule::{BatchScheduler, ExecOptions, RunStats};
+    use simgpu::Device;
+
+    /// Lower (unchunked) and schedule a batch, unwrapping each frame's
+    /// single output.
+    fn run_batch(
+        prog: &CudaProgram,
+        device: &mut Device,
+        frames: &[Vec<NdArray<i64>>],
+        opts: &ExecOptions,
+    ) -> Result<(Vec<NdArray<i64>>, RunStats), CudaError> {
+        let plan = lower_plan(prog, 0)?;
+        let (outs, stats) = BatchScheduler::new(&plan).run(device, frames, opts)?;
+        Ok((outs.into_iter().map(|mut o| o.pop().expect("one output")).collect(), stats))
+    }
+
+    /// One serial frame at the default options.
+    fn run_one(
+        prog: &CudaProgram,
+        device: &mut Device,
+        inputs: &[NdArray<i64>],
+    ) -> Result<(NdArray<i64>, RunStats), CudaError> {
+        let (mut outs, stats) =
+            run_batch(prog, device, &[inputs.to_vec()], &ExecOptions::default())?;
+        Ok((outs.pop().expect("one frame"), stats))
+    }
 
     /// End-to-end: SaC source -> optimiser -> CUDA backend -> simulator,
     /// checked against the AST interpreter.
@@ -268,7 +174,7 @@ mod tests {
         let (flat, _) = optimize(&prog, "main", &args, cfg).unwrap();
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
-        let (out, stats) = run_on_device(&cuda, &mut device, inputs, HostCost::default()).unwrap();
+        let (out, stats) = run_one(&cuda, &mut device, inputs).unwrap();
         assert!(device.now_us() > 0.0);
         (out, stats, cuda)
     }
@@ -380,7 +286,7 @@ int[*] main(int[2] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let too_big = NdArray::from_vec([2usize], vec![1, i64::from(i32::MAX) + 1]).unwrap();
-        let err = run_on_device(&cuda, &mut device, &[too_big], HostCost::default());
+        let err = run_one(&cuda, &mut device, &[too_big]);
         assert!(matches!(err, Err(CudaError::Overflow { .. })));
     }
 
@@ -421,17 +327,16 @@ int[*] main(int[8,16] a)
         let mut serial = Device::gtx480();
         let mut serial_outs = Vec::new();
         for f in &frames {
-            let (out, _) =
-                run_on_device_opts(&prog, &mut serial, f, ExecOptions::default()).unwrap();
+            let (out, _) = run_one(&prog, &mut serial, f).unwrap();
             serial_outs.push(out);
         }
 
         let mut piped = Device::gtx480();
-        let (outs, _) = run_frames_pipelined(
+        let (outs, _) = run_batch(
             &prog,
             &mut piped,
             &frames,
-            ExecOptions { streams: 1, ..Default::default() },
+            &ExecOptions { streams: 1, ..Default::default() },
         )
         .unwrap();
 
@@ -449,22 +354,14 @@ int[*] main(int[8,16] a)
         let frames = pipe_frames(6);
 
         let mut sync = Device::gtx480();
-        let (expect, _) = run_frames_pipelined(
-            &prog,
-            &mut sync,
-            &frames,
-            ExecOptions { streams: 1, ..Default::default() },
-        )
-        .unwrap();
+        let (expect, _) =
+            run_batch(&prog, &mut sync, &frames, &ExecOptions { streams: 1, ..Default::default() })
+                .unwrap();
 
         let mut db = Device::gtx480();
-        let (got, stats) = run_frames_pipelined(
-            &prog,
-            &mut db,
-            &frames,
-            ExecOptions { streams: 2, ..Default::default() },
-        )
-        .unwrap();
+        let (got, stats) =
+            run_batch(&prog, &mut db, &frames, &ExecOptions { streams: 2, ..Default::default() })
+                .unwrap();
 
         assert_eq!(got, expect);
         assert_eq!(stats.launches, 6);
@@ -478,21 +375,20 @@ int[*] main(int[8,16] a)
     fn planopt_coalesces_chunked_transfers_without_changing_results() {
         let prog = compile(PIPE_SRC, &[vec![8, 16]]);
         let frames = pipe_frames(4);
-        let opts = ExecOptions { streams: 2, channel_chunks: 8, ..Default::default() };
+        let opts = ExecOptions { streams: 2, ..Default::default() };
+        let run = |level| {
+            let mut plan = lower_plan(&prog, 8).unwrap();
+            let report = simgpu::optimize(&mut plan, level).unwrap();
+            let mut device = Device::gtx480();
+            let (outs, stats) =
+                BatchScheduler::new(&plan).run(&mut device, &frames, &opts).unwrap();
+            (outs, stats, device, report)
+        };
 
-        let mut base = Device::gtx480();
-        let (expect, base_stats) = run_frames_pipelined(&prog, &mut base, &frames, opts).unwrap();
+        let (expect, base_stats, base, _) = run(simgpu::PlanOptLevel::OFF);
         assert_eq!(base_stats.h2d, 4 * 8, "per-channel chunking baseline");
 
-        let mut opt = Device::gtx480();
-        let (got, stats) = run_frames_pipelined(
-            &prog,
-            &mut opt,
-            &frames,
-            ExecOptions { optimize: simgpu::PlanOptLevel::COALESCE, ..opts },
-        )
-        .unwrap();
-
+        let (got, stats, opt, report) = run(simgpu::PlanOptLevel::COALESCE);
         assert_eq!(got, expect);
         // Same bytes in one transfer per frame per direction, minus the
         // per-chunk latencies.
@@ -500,7 +396,7 @@ int[*] main(int[8,16] a)
         assert_eq!(stats.h2d_bytes, base_stats.h2d_bytes);
         assert_eq!(stats.d2h_bytes, base_stats.d2h_bytes);
         assert!(opt.now_us() < base.now_us(), "{} !< {}", opt.now_us(), base.now_us());
-        assert!(opt.profiler.notes().any(|n| n.contains("planopt coalesce")));
+        assert!(report.notes.iter().any(|n| n.contains("planopt coalesce")), "{report:?}");
     }
 
     #[test]
@@ -509,21 +405,21 @@ int[*] main(int[8,16] a)
 
         // Full functional run of 6 frames...
         let mut full = Device::gtx480();
-        run_frames_pipelined(
+        run_batch(
             &prog,
             &mut full,
             &pipe_frames(6),
-            ExecOptions { streams: 2, ..Default::default() },
+            &ExecOptions { streams: 2, ..Default::default() },
         )
         .unwrap();
 
         // ...vs 2 functional frames replayed out to 6.
         let mut replay = Device::gtx480();
-        let (outs, stats) = run_frames_pipelined(
+        let (outs, stats) = run_batch(
             &prog,
             &mut replay,
             &pipe_frames(2),
-            ExecOptions { streams: 2, total_frames: 6, ..Default::default() },
+            &ExecOptions { streams: 2, total_frames: 6, ..Default::default() },
         )
         .unwrap();
 
@@ -540,11 +436,11 @@ int[*] main(int[8,16] a)
 
         // Measure the per-lane device footprint on an unconstrained device.
         let mut probe = Device::gtx480();
-        let (expect, _) = run_frames_pipelined(
+        let (expect, _) = run_batch(
             &prog,
             &mut probe,
             &frames,
-            ExecOptions { streams: 1, ..Default::default() },
+            &ExecOptions { streams: 1, ..Default::default() },
         )
         .unwrap();
         let per_lane = probe.peak_allocated_bytes();
@@ -554,11 +450,11 @@ int[*] main(int[8,16] a)
         // batch dies with OutOfMemory...
         let cfg = simgpu::DeviceConfig::toy(per_lane * 2);
         let mut naive = Device::new(cfg.clone(), simgpu::Calibration::gtx480());
-        let err = run_frames_pipelined(
+        let err = run_batch(
             &prog,
             &mut naive,
             &frames,
-            ExecOptions { streams: 4, ..Default::default() },
+            &ExecOptions { streams: 4, ..Default::default() },
         );
         assert!(
             matches!(err, Err(CudaError::Sim(simgpu::SimError::OutOfMemory { .. }))),
@@ -568,11 +464,11 @@ int[*] main(int[8,16] a)
         // ...while the degrading batch completes at reduced lanes with
         // bit-identical outputs, and reports the downgrade.
         let mut degraded = Device::new(cfg, simgpu::Calibration::gtx480());
-        let (outs, _) = run_frames_pipelined(
+        let (outs, _) = run_batch(
             &prog,
             &mut degraded,
             &frames,
-            ExecOptions { streams: 4, degrade_on_oom: true, ..Default::default() },
+            &ExecOptions { streams: 4, degrade_on_oom: true, ..Default::default() },
         )
         .unwrap();
         assert_eq!(outs, expect);
@@ -588,11 +484,11 @@ int[*] main(int[8,16] a)
     fn zero_streams_is_rejected_by_the_unified_validation() {
         let prog = compile(PIPE_SRC, &[vec![8, 16]]);
         let mut device = Device::gtx480();
-        let err = run_frames_pipelined(
+        let err = run_batch(
             &prog,
             &mut device,
             &pipe_frames(2),
-            ExecOptions { streams: 0, ..Default::default() },
+            &ExecOptions { streams: 0, ..Default::default() },
         );
         assert!(matches!(err, Err(CudaError::Config(_))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
@@ -618,7 +514,7 @@ int[*] main(int[32] a)
         let cuda = compile_flat_program(&flat).unwrap();
         let mut device = Device::gtx480();
         let a = NdArray::from_fn([32usize], |ix| ix[0] as i64);
-        run_on_device(&cuda, &mut device, &[a], HostCost::default()).unwrap();
+        run_one(&cuda, &mut device, &[a]).unwrap();
         let names: Vec<String> = device.profiler.records().map(|r| r.name.clone()).collect();
         assert!(names.iter().any(|n| n == "memcpyHtoDasync"), "{names:?}");
         assert!(names.iter().any(|n| n == "memcpyDtoHasync"), "{names:?}");

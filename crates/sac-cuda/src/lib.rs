@@ -31,10 +31,7 @@ pub mod exec;
 pub mod identify;
 
 pub use codegen::{compile_flat_program, CompiledKernel, CudaProgram, PlanOp};
-pub use exec::{
-    lower_plan, run_frames_pipelined, run_on_device, run_on_device_opts, ExecOptions, HostCost,
-    RunStats,
-};
+pub use exec::lower_plan;
 
 /// Errors from the CUDA backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,5 +68,20 @@ impl std::error::Error for CudaError {}
 impl From<simgpu::SimError> for CudaError {
     fn from(e: simgpu::SimError) -> Self {
         CudaError::Sim(e)
+    }
+}
+
+/// A batch-scheduler failure, reported as this route's error.
+impl From<simgpu::ScheduleError> for CudaError {
+    fn from(e: simgpu::ScheduleError) -> Self {
+        use simgpu::ScheduleError;
+        match e {
+            ScheduleError::Sim(e) => CudaError::Sim(e),
+            ScheduleError::Overflow { value } => CudaError::Overflow { value },
+            ScheduleError::Input(m) | ScheduleError::Plan(m) | ScheduleError::Host(m) => {
+                CudaError::Host(m)
+            }
+            ScheduleError::Config(m) => CudaError::Config(m),
+        }
     }
 }

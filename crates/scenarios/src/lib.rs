@@ -20,9 +20,9 @@
 //! A [`Workload`] is the shape-level description (name, sizes, default
 //!   serving job mix); [`Workload::build`] compiles both routes and returns
 //! a [`BuiltWorkload`] that can lower a [`LaunchPlan`] per route, generate
-//! per-route frame payloads, run batches, and produce the CPU reference —
-//! so the bench `reproduce scenarios` ablation and the serve layer
-//! enumerate entries uniformly. All construction is panic-free: bad sizes
+//! per-route frame payloads, run a lowered plan over a batch, and produce
+//! the CPU reference — so the bench `reproduce scenarios` ablation and the
+//! serve layer enumerate entries uniformly. All construction is panic-free: bad sizes
 //! surface as the scenario layer's typed
 //! [`PipelineError`](downscaler::pipelines::PipelineError).
 
@@ -507,44 +507,24 @@ impl BuiltWorkload {
         }
     }
 
-    /// Run a batch of the workload's frames on `device` over `route`.
+    /// Run a batch of the workload's frames on `device` through `plan`, an
+    /// already lowered (and optimized) plan for `route`.
     ///
-    /// `opts.executed` bounds the functionally executed frames (0 = all of
-    /// [`Workload::frames`]); the rest are timing-replayed. Planopt passes
-    /// run per `opts.optimize` before scheduling, with pass notes surfaced
-    /// in the device profiler. Returns the canonical per-frame outputs of
-    /// the functional frames plus the run counters.
+    /// Frames `0..executed` run functionally; the rest of
+    /// [`Workload::frames`] are timing-replayed. Returns the canonical
+    /// per-frame outputs of the functional frames plus the run counters.
     pub fn run(
         &self,
         route: Route,
+        plan: &LaunchPlan<'_>,
         device: &mut Device,
+        executed: usize,
         opts: &ExecOptions,
     ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
-        self.run_placed(route, device, opts, self.channels(), gaspard::Placement::Resident)
-    }
-
-    /// [`BuiltWorkload::run`] over a plan lowered with explicit
-    /// `channel_chunks` / `placement` knobs ([`BuiltWorkload::plan_placed`])
-    /// — the autotuner's oracle entry point.
-    pub fn run_placed(
-        &self,
-        route: Route,
-        device: &mut Device,
-        opts: &ExecOptions,
-        channel_chunks: usize,
-        placement: gaspard::Placement,
-    ) -> Result<(Vec<NdArray<i64>>, RunStats), ScenarioError> {
-        let mut plan = self.plan_placed(route, channel_chunks, placement)?;
-        let report = simgpu::planopt::optimize(&mut plan, opts.optimize)?;
-        for note in report.notes {
-            device.profiler.note(note);
-        }
         device.set_pool_enabled(opts.pool);
-        let executed =
-            if opts.executed == 0 { self.spec.frames } else { opts.executed.min(self.spec.frames) };
         let frames = self.frames(route, executed);
         let run_opts = ExecOptions { total_frames: self.spec.frames, ..*opts };
-        let (outs, stats) = BatchScheduler::new(&plan).run(device, &frames, &run_opts)?;
+        let (outs, stats) = BatchScheduler::new(plan).run(device, &frames, &run_opts)?;
         Ok((outs.into_iter().map(|o| self.canon(o)).collect(), stats))
     }
 }
@@ -591,8 +571,9 @@ mod tests {
             let built = w.build().unwrap();
             for route in Route::BOTH {
                 let mut device = Device::gtx480();
+                let plan = built.plan(route).unwrap();
                 let (outs, _) = built
-                    .run(route, &mut device, &ExecOptions::default())
+                    .run(route, &plan, &mut device, w.frames, &ExecOptions::default())
                     .unwrap_or_else(|e| panic!("{} ({}): {e}", w.name, route.name()));
                 assert_eq!(outs.len(), w.frames);
                 for (f, out) in outs.iter().enumerate() {
@@ -616,8 +597,10 @@ mod tests {
         let r2 = built.reference(2);
         let p2 = built.plane(2);
         assert_ne!(r2, p2, "reference must subtract the carried previous frame");
-        let (outs, _) =
-            built.run(Route::Sac, &mut Device::gtx480(), &ExecOptions::default()).unwrap();
+        let plan = built.plan(Route::Sac).unwrap();
+        let (outs, _) = built
+            .run(Route::Sac, &plan, &mut Device::gtx480(), w.frames, &ExecOptions::default())
+            .unwrap();
         assert_eq!(outs[2], r2);
     }
 
@@ -625,12 +608,15 @@ mod tests {
     fn temporal_plans_serialize_lanes() {
         let w = registry_small().into_iter().find(|w| w.temporal()).unwrap();
         let built = w.build().unwrap();
+        let plan = built.plan(Route::Gaspard).unwrap();
+        let run = |device: &mut Device, streams| {
+            let opts = ExecOptions { streams, ..Default::default() };
+            built.run(Route::Gaspard, &plan, device, w.frames, &opts).unwrap()
+        };
         let mut serial = Device::gtx480();
-        let (a, _) = built.run(Route::Gaspard, &mut serial, &ExecOptions::default()).unwrap();
+        let (a, _) = run(&mut serial, 1);
         let mut piped = Device::gtx480();
-        let (b, _) = built
-            .run(Route::Gaspard, &mut piped, &ExecOptions { streams: 2, ..Default::default() })
-            .unwrap();
+        let (b, _) = run(&mut piped, 2);
         assert_eq!(a, b);
         // The carry chain collapses two lanes back to the serial clock.
         assert_eq!(piped.now_us(), serial.now_us());

@@ -54,7 +54,9 @@ pub struct ServeConfig {
     /// infinite-starvation request and is rejected.
     pub tenant_weights: Vec<u64>,
     /// Execution options forwarded to every per-job [`simgpu::BatchScheduler`]
-    /// run (streams, pool, degradation ladder, host cost, planopt level).
+    /// run (streams, pool, degradation ladder, host cost, cost model). Plan
+    /// rewrites are not among them: `serve` runs the plan it is handed, so
+    /// optimize it with [`simgpu::optimize`] before serving.
     pub exec: ExecOptions,
 }
 

@@ -465,7 +465,7 @@ fn start_job(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simgpu::kir::{BinOp, Kernel, KernelBuilder, KernelFlavor, Special};
     use simgpu::{ArrayDecl, Device, Fleet, LaunchConfig, PlanKernel, PlanStep};
@@ -473,7 +473,7 @@ mod tests {
     const N: usize = 32;
 
     /// x[i] = 3 * x[i].
-    fn triple_kernel() -> (Kernel, LaunchConfig) {
+    pub(crate) fn triple_kernel() -> (Kernel, LaunchConfig) {
         let mut b = KernelBuilder::new("triple", KernelFlavor::Cuda);
         let x = b.buffer_param("x", true);
         let gid = b.special(Special::GlobalIdX);
@@ -484,7 +484,7 @@ mod tests {
         (b.finish(), LaunchConfig::cover_1d(N, 32))
     }
 
-    fn triple_plan(kernel: &Kernel, config: LaunchConfig) -> LaunchPlan<'_> {
+    pub(crate) fn triple_plan(kernel: &Kernel, config: LaunchConfig) -> LaunchPlan<'_> {
         LaunchPlan {
             arrays: vec![ArrayDecl { name: "a".into(), shape: vec![N] }],
             inputs: vec![0],
@@ -504,7 +504,7 @@ mod tests {
         }
     }
 
-    fn frame(tag: usize) -> Vec<NdArray<i64>> {
+    pub(crate) fn frame(tag: usize) -> Vec<NdArray<i64>> {
         vec![NdArray::from_fn([N], |ix| (tag * 1000 + ix[0]) as i64)]
     }
 

@@ -42,11 +42,11 @@ pub struct JobTemplate {
 
 impl JobTemplate {
     /// Measure a `total_frames`-frame job on `device` and capture its
-    /// schedule. `probe_frames` supplies at least one functional frame (the
-    /// scheduler measures frame 0 and replays the rest, so one frame is
-    /// enough); the probe's outputs are discarded. The device is left
-    /// synchronized — callers typically probe on a scratch clone so the
-    /// serving fleet's clocks stay untouched.
+    /// schedule. `probe_frames` supplies at least one and at most
+    /// `total_frames` functional frames (the scheduler measures frame 0 and
+    /// replays the rest, so one frame is enough); the probe's outputs are
+    /// discarded. The device is left synchronized — callers typically probe
+    /// on a scratch clone so the serving fleet's clocks stay untouched.
     pub fn capture(
         plan: &LaunchPlan<'_>,
         device: &mut Device,
@@ -119,5 +119,32 @@ impl JobTemplate {
         }
         device.synchronize();
         Ok(self.stats.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{frame, triple_kernel, triple_plan};
+
+    #[test]
+    fn capture_rejects_more_probe_frames_than_the_template_charges() {
+        let (kernel, config) = triple_kernel();
+        let plan = triple_plan(&kernel, config);
+        let probe: Vec<_> = (0..3).map(frame).collect();
+        let mut device = Device::gtx480();
+        // A 2-frame template measured over 3 executed frames would charge
+        // every replay for a frame it never runs.
+        let err = JobTemplate::capture(&plan, &mut device, &ExecOptions::default(), &probe, 2);
+        assert!(
+            matches!(err, Err(ServeError::Schedule(ScheduleError::Config(_)))),
+            "{:?}",
+            err.map(|t| t.total_frames)
+        );
+        assert_eq!(device.now_us(), 0.0);
+
+        let tpl =
+            JobTemplate::capture(&plan, &mut device, &ExecOptions::default(), &probe, 3).unwrap();
+        assert_eq!((tpl.total_frames, tpl.stats.launches), (3, 3));
     }
 }

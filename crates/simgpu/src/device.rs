@@ -122,11 +122,6 @@ impl MemPool {
         self.cached_bytes
     }
 
-    /// Number of cached blocks across all bins.
-    pub fn cached_blocks(&self) -> usize {
-        self.bins.values().map(Vec::len).sum()
-    }
-
     /// Pop a cached block of exactly `class_len` elements, if any.
     fn take(&mut self, class_len: usize) -> Option<Vec<i32>> {
         let bin = self.bins.get_mut(&class_len)?;

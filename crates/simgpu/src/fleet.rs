@@ -52,31 +52,6 @@ impl Fleet {
         Ok(Fleet { devices: (0..n).map(|_| Device::new(config.clone(), calib.clone())).collect() })
     }
 
-    /// A fleet of `n` identical devices pricing time through clones of one
-    /// [`CostModel`] — the model-generic counterpart of
-    /// [`Fleet::homogeneous`].
-    pub fn homogeneous_with_model(
-        n: usize,
-        config: DeviceConfig,
-        model: &dyn crate::cost::CostModel,
-    ) -> Result<Fleet, ScheduleError> {
-        if n == 0 {
-            return Err(ScheduleError::Config(
-                "devices must be >= 1 (1 = the single-device baseline)".into(),
-            ));
-        }
-        Ok(Fleet {
-            devices: (0..n)
-                .map(|_| {
-                    Device::with_model(
-                        config.clone(),
-                        crate::cost::BoxedCostModel(model.clone_model()),
-                    )
-                })
-                .collect(),
-        })
-    }
-
     /// A fleet of `n` simulated GTX480s at the paper calibration.
     pub fn gtx480(n: usize) -> Result<Fleet, ScheduleError> {
         Fleet::homogeneous(n, DeviceConfig::gtx480(), Calibration::gtx480())
@@ -105,11 +80,6 @@ impl Fleet {
     /// All devices, in index order.
     pub fn devices(&self) -> &[Device] {
         &self.devices
-    }
-
-    /// All devices, mutably.
-    pub fn devices_mut(&mut self) -> &mut [Device] {
-        &mut self.devices
     }
 
     /// Enable or disable the size-class memory pool on every device.

@@ -46,7 +46,6 @@ pub mod fleet;
 pub mod kir;
 pub mod planopt;
 pub mod profiler;
-pub mod runtime;
 pub mod schedule;
 pub mod tiled;
 
@@ -60,7 +59,6 @@ pub use fleet::Fleet;
 pub use kir::{BinOp, Instr, Kernel, KernelArg, KernelFlavor, Param, Reg, Special};
 pub use planopt::{optimize, PlanOptLevel, PlanOptReport};
 pub use profiler::{AllocStats, OpClass, Profiler, Record, Span};
-pub use runtime::GpuRuntime;
 pub use schedule::{
     chunks_for, ArrayDecl, BatchOutput, BatchScheduler, ExecOptions, HostOp, LaunchPlan,
     PlanKernel, PlanStep, RunStats, ScheduleError,

@@ -64,12 +64,12 @@
 //! Every pass re-validates the plan after rewriting ([`LaunchPlan::
 //! validate`], which since the residency fixes also tracks stale host/device
 //! copies), so an unsound rewrite fails loudly instead of corrupting
-//! outputs. What each pass changed is reported as [`PlanOptReport`] notes,
-//! which the route wrappers surface as profiler notes next to the timings.
+//! outputs. What each pass changed is reported as [`PlanOptReport`] notes.
 //!
-//! The knob rides in [`ExecOptions::optimize`](crate::schedule::ExecOptions)
-//! and defaults to [`PlanOptLevel::OFF`] — a strict no-op, so every
-//! paper-faithful number is untouched unless an experiment opts in.
+//! Callers run [`optimize`] between lowering a plan and handing it to the
+//! [`BatchScheduler`](crate::schedule::BatchScheduler); the level defaults
+//! to [`PlanOptLevel::OFF`] — a strict no-op, so every paper-faithful
+//! number is untouched unless an experiment opts in.
 
 use crate::schedule::{LaunchPlan, PlanStep, ScheduleError};
 
@@ -166,8 +166,8 @@ impl Default for PlanOptLevel {
 }
 
 /// What [`optimize`] changed: one human-readable note per pass that rewrote
-/// something, in pass order. Route wrappers push these into the device
-/// profiler's notes.
+/// something, in pass order. The report is the only place these notes go;
+/// the caller that optimized the plan decides whether to show them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanOptReport {
     /// One note per pass that changed the plan.

@@ -598,18 +598,12 @@ impl RunStats {
     }
 }
 
-/// The one options struct shared by every executor and batch driver — the
-/// unification of what used to be `sac_cuda::PipelineOptions`,
-/// `gaspard::OpenClPipelineOptions`, and `downscaler::BatchOptions`.
+/// What [`BatchScheduler::run`] executes a lowered plan with.
 ///
-/// The scheduler itself consumes `streams`, `total_frames`,
-/// `host_ns_per_op`, and `degrade_on_oom`; `channel_chunks` is consumed by
-/// the route lowerings when they build a [`LaunchPlan`]; `executed` and
-/// `pool` are consumed by the scenario batch drivers
-/// (`downscaler::pipelines`) before the scheduler is reached. Carrying them
-/// in one struct means an option set composed for an experiment (streams ×
-/// pool × degradation × replay) is a single value that flows through every
-/// layer unchanged.
+/// Plan *shape* — transfer chunking, intermediate placement, planopt level —
+/// is decided when the plan is lowered and optimized, never here; these
+/// options only say how the scheduler drives the plan it is handed (lanes,
+/// replay length, host-fallback cost, allocator, OOM policy, cost model).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Number of pipeline lanes: streams (CUDA) / command queues (OpenCL) =
@@ -619,28 +613,20 @@ pub struct ExecOptions {
     /// `f`'s kernels and frame `f-1`'s download. Must be `>= 1`
     /// ([`ExecOptions::validate`]).
     pub streams: usize,
-    /// Batch drivers only: frames executed functionally; the scenario's
-    /// remaining frames are timing-replayed. `0` executes every frame.
-    pub executed: usize,
     /// When greater than the number of supplied frames, the timing of the
     /// remaining frames is *replayed* from the first frame's measured
     /// per-operation durations instead of executing them functionally.
     /// Exact under the cost model whenever per-frame cost is
     /// content-independent (fixed shapes; host steps whose trip counts do
-    /// not depend on data). `0` means "the supplied frames".
+    /// not depend on data). `0` means "the supplied frames"; a non-zero
+    /// value below the number of supplied frames is rejected.
     pub total_frames: usize,
-    /// Route lowerings only: when non-zero, arrays whose leading dimension
-    /// equals this value are transferred as one chunk per leading slice
-    /// (per colour channel), the way the paper's runtimes stream frames —
-    /// Tables I/II count 900 transfers for 300 three-channel frames. See
-    /// [`chunks_for`].
-    pub channel_chunks: usize,
     /// Simulated nanoseconds per abstract host-fallback operation (the SaC
     /// generic output tiler's cost model).
     pub host_ns_per_op: f64,
-    /// Batch drivers only: enable the device's size-class memory pool for
-    /// the batch. Off by default — the naive allocator is what the paper's
-    /// profiles were calibrated against.
+    /// Enable the device's size-class memory pool for the batch (applied by
+    /// the batch drivers before the scheduler runs). Off by default — the
+    /// naive allocator is what the paper's profiles were calibrated against.
     pub pool: bool,
     /// When a batch attempt fails with [`SimError::OutOfMemory`], release
     /// that attempt's device buffers, halve the number of lanes and retry
@@ -651,11 +637,6 @@ pub struct ExecOptions {
     /// bit-identical at any lane count, so degradation only trades makespan
     /// for footprint. Off by default.
     pub degrade_on_oom: bool,
-    /// Which [`crate::planopt`] passes the route lowerings run over the plan
-    /// before scheduling. [`crate::planopt::PlanOptLevel::OFF`] (the
-    /// default) leaves the plan exactly as lowered, so every paper-faithful
-    /// number is untouched unless an experiment opts in.
-    pub optimize: crate::planopt::PlanOptLevel,
     /// Which [`crate::cost::CostModel`] the batch prices time under.
     /// [`crate::cost::CostModelSpec::Inherit`] (the default) keeps the
     /// device's current model — every calibrated experiment is untouched;
@@ -670,16 +651,16 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             streams: 1,
-            executed: 0,
             total_frames: 0,
-            channel_chunks: 0,
-            // Calibrated alongside the sequential cost model (see the bench
-            // crate's `calibration` module): one abstract op of the scatter
-            // nest corresponds to a fraction of a compiled-C nanosecond.
+            // The host half of the *CUDA generic* variant: the generic
+            // output tiler's scatter nest runs on the host with generic
+            // index arithmetic (`MV`/`CAT` on materialised vectors). One
+            // abstract interpreter op corresponds to a fraction of a
+            // compiled-C nanosecond, fit so the generic CUDA variant lands
+            // at the paper's 3–4.5× slowdown over the non-generic one.
             host_ns_per_op: 0.12,
             pool: false,
             degrade_on_oom: false,
-            optimize: crate::planopt::PlanOptLevel::OFF,
             cost: crate::cost::CostModelSpec::Inherit,
         }
     }
@@ -764,6 +745,10 @@ impl<'a> BatchScheduler<'a> {
     /// frees the attempt's buffers and restarts the batch at half the lanes
     /// (down to 1) instead of propagating; each downgrade is recorded as a
     /// profiler note using the plan's [`LaunchPlan::lane_label`].
+    ///
+    /// A non-zero [`ExecOptions::total_frames`] below `frames.len()` is a
+    /// typed [`ScheduleError::Config`]: the batch would be charged for
+    /// fewer frames than it executes.
     pub fn run(
         &self,
         device: &mut Device,
@@ -771,6 +756,13 @@ impl<'a> BatchScheduler<'a> {
         opts: &ExecOptions,
     ) -> Result<BatchOutput, ScheduleError> {
         opts.validate().map_err(ScheduleError::Config)?;
+        if opts.total_frames != 0 && opts.total_frames < frames.len() {
+            return Err(ScheduleError::Config(format!(
+                "total_frames {} is fewer than the {} supplied frames",
+                opts.total_frames,
+                frames.len()
+            )));
+        }
         self.plan.validate()?;
         if let Some(model) = opts.cost.instantiate() {
             device.profiler.note(format!("cost model: {}", model.describe()));
@@ -1215,7 +1207,7 @@ mod tests {
     fn exec_options_default_is_the_serialized_baseline() {
         let o = ExecOptions::default();
         assert_eq!(o.streams, 1);
-        assert_eq!((o.executed, o.total_frames, o.channel_chunks), (0, 0, 0));
+        assert_eq!(o.total_frames, 0);
         assert!(!o.pool && !o.degrade_on_oom);
         assert!(o.validate().is_ok());
     }
@@ -1383,6 +1375,36 @@ mod tests {
         assert!(matches!(err, Err(ScheduleError::Config(_))), "{err:?}");
         assert_eq!(device.now_us(), 0.0);
         assert_eq!(device.profiler.records().count(), 0);
+    }
+
+    #[test]
+    fn fewer_total_frames_than_supplied_is_rejected() {
+        let n = 16;
+        let (kernel, config) = double_kernel(n);
+        let plan = double_plan(&kernel, config, n);
+        let mut device = Device::gtx480();
+        let err = BatchScheduler::new(&plan).run(
+            &mut device,
+            &frames(3, n),
+            &ExecOptions { total_frames: 2, ..Default::default() },
+        );
+        assert!(
+            matches!(&err, Err(ScheduleError::Config(m)) if m.contains("total_frames 2")),
+            "{err:?}"
+        );
+        assert_eq!(device.now_us(), 0.0);
+        assert_eq!(device.profiler.records().count(), 0);
+        // Equal counts and `0` (= the supplied frames) still run.
+        for total_frames in [0, 3] {
+            let (outs, stats) = BatchScheduler::new(&plan)
+                .run(
+                    &mut device,
+                    &frames(3, n),
+                    &ExecOptions { total_frames, ..Default::default() },
+                )
+                .unwrap();
+            assert_eq!((outs.len(), stats.launches), (3, 3));
+        }
     }
 
     #[test]

@@ -162,9 +162,12 @@ fn main() {
     println!("GASPARD2 chain generated {} OpenCL kernel(s):\n", opencl.kernels.len());
     println!("{}", opencl.emit_opencl_source());
 
+    let plan = gaspard::lower_plan(&opencl);
     let mut device = Device::gtx480();
-    let outs =
-        gaspard::run_opencl(&opencl, &mut device, std::slice::from_ref(&image)).expect("GPU run");
+    let (mut outs, _) = simgpu::BatchScheduler::new(&plan)
+        .run(&mut device, &[vec![image.clone()]], &simgpu::ExecOptions::default())
+        .expect("GPU run");
+    let outs = outs.pop().expect("one frame");
 
     // Row sums on the device must agree with a direct computation.
     for i in 0..N {

@@ -12,11 +12,11 @@
 //! simulated copy and compute engines; `--streams 1` (the default) is the
 //! serialized baseline and reproduces the classic profile exactly.
 
-use gpu_abstractions::{downscaler, mdarray, simgpu};
+use gpu_abstractions::{downscaler, gaspard, mdarray, sac_cuda, simgpu};
 
 use downscaler::frames::{FrameGenerator, FrameSink};
 use downscaler::pipelines::{
-    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch, ExecOptions,
+    build_gaspard, build_sac, reference_downscale, run_batch, ExecOptions,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
@@ -73,11 +73,17 @@ fn main() {
     let mut gasp_sink = FrameSink::new();
     let batch = ExecOptions { streams, ..Default::default() };
 
-    let sac_outs = run_sac_batch(&s, &sac, &mut sac_device, seed, batch).expect("SaC batch");
-    let gasp_outs =
-        run_gaspard_batch(&s, &gasp, &mut gasp_device, seed, batch).expect("Gaspard batch");
+    // Lower each route to its launch plan (the SaC runtime streams frames
+    // one colour channel per transfer) and drive the whole video through it.
+    let sac_plan = sac_cuda::lower_plan(&sac.cuda, s.channels).expect("SaC plan");
+    let gasp_plan = gaspard::lower_plan(&gasp.opencl);
+    let (sac_outs, _) =
+        run_batch(&s, &sac_plan, &mut sac_device, seed, s.frames, &batch).expect("SaC batch");
+    let (gasp_outs, _) =
+        run_batch(&s, &gasp_plan, &mut gasp_device, seed, s.frames, &batch).expect("Gaspard batch");
 
     for (f, (sac_out, gasp_out)) in sac_outs.iter().zip(&gasp_outs).enumerate() {
+        let sac_out = &sac_out[0];
         sac_sink.consume(&FrameGenerator::unstack(sac_out));
         gasp_sink.consume(gasp_out);
 

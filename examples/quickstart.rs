@@ -6,14 +6,15 @@
 //!
 //! Walks the whole pipeline of the paper's SaC route on ten lines of SaC:
 //! parse → inline/fold/lower → WITH-loop folding → one kernel per generator
-//! → execution on the simulated GTX480, with the profile printed at the end.
+//! → launch plan → execution on the simulated GTX480, with the profile
+//! printed at the end.
 
 use gpu_abstractions::{mdarray, sac_cuda, sac_lang, simgpu};
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, HostCost};
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
 use simgpu::profiler::{Group, OpClass};
+use simgpu::{BatchScheduler, ExecOptions};
 
 const SRC: &str = r#"
 int[*] brighten(int[*] img)
@@ -45,16 +46,20 @@ fn main() {
     let cuda = sac_cuda::compile_flat_program(&flat).expect("codegen");
     println!("{}", cuda.emit_cuda_source());
 
-    // 3. Execute on the simulated GTX480.
+    // 3. Lower to a launch plan (transfers + launches) and execute it on
+    //    the simulated GTX480.
+    let plan = sac_cuda::lower_plan(&cuda, 0).expect("lower");
     let img = NdArray::from_fn([64usize, 64], |ix| ((ix[0] * ix[1]) % 200) as i64);
     let mut device = Device::gtx480();
-    let (result, stats) =
-        run_on_device(&cuda, &mut device, &[img], HostCost::default()).expect("run");
+    let (outs, stats) = BatchScheduler::new(&plan)
+        .run(&mut device, &[vec![img]], &ExecOptions::default())
+        .expect("run");
+    let result = &outs[0][0];
     println!(
         "ran {} kernel launch(es), {} H2D / {} D2H transfer(s)",
         stats.launches, stats.h2d, stats.d2h
     );
-    println!("result checksum: {}", mdarray::ops::checksum(&result));
+    println!("result checksum: {}", mdarray::ops::checksum(result));
     println!("simulated device time: {:.1} us\n", device.now_us());
 
     // 4. The profiler speaks the paper's language.

@@ -14,9 +14,9 @@ use gpu_abstractions::{downscaler, sac_cuda, sac_lang, simgpu};
 use downscaler::pipelines::build_sac;
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
-use sac_cuda::exec::{run_on_device, HostCost};
 use sac_lang::opt::OptConfig;
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions};
 
 fn main() {
     let s = Scenario::cif();
@@ -59,12 +59,15 @@ fn main() {
     println!();
 
     // Execute both on fresh devices and compare simulated time + memory.
+    let frames = [vec![frame]];
+    let run = |route: &downscaler::pipelines::SacRoute, device: &mut Device| {
+        let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
+        BatchScheduler::new(&plan).run(device, &frames, &ExecOptions::default()).unwrap().0
+    };
     let mut d1 = Device::gtx480();
-    let (out1, _) =
-        run_on_device(&folded.cuda, &mut d1, std::slice::from_ref(&frame), HostCost::default())
-            .unwrap();
+    let out1 = run(&folded, &mut d1);
     let mut d2 = Device::gtx480();
-    let (out2, _) = run_on_device(&unfolded.cuda, &mut d2, &[frame], HostCost::default()).unwrap();
+    let out2 = run(&unfolded, &mut d2);
     assert_eq!(out1, out2, "folding must not change results");
 
     println!("simulated GPU time per frame:");

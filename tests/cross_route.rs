@@ -6,12 +6,38 @@ use downscaler::frames::{FrameGenerator, FrameSink};
 use downscaler::pipelines::{build_gaspard, build_sac, reference_downscale};
 use downscaler::sac_src::{program_src, Part, Variant};
 use downscaler::Scenario;
+use gaspard::OpenClProgram;
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device_opts, ExecOptions};
 use sac_lang::value::Value;
 use sac_lang::Interp;
 use simgpu::device::Device;
 use simgpu::profiler::OpClass;
+use simgpu::{BatchScheduler, ExecOptions, LaunchPlan, PlanOptLevel, PlanOptReport, RunStats};
+
+/// One serial frame through a lowered plan.
+fn run_one(
+    plan: &LaunchPlan<'_>,
+    device: &mut Device,
+    inputs: Vec<NdArray<i64>>,
+) -> (Vec<NdArray<i64>>, RunStats) {
+    let opts = ExecOptions::default();
+    let (mut outs, stats) = BatchScheduler::new(plan).run(device, &[inputs], &opts).unwrap();
+    (outs.pop().unwrap(), stats)
+}
+
+/// A GASPARD2 program's resident plan, optimized at `level`, over a batch.
+fn run_gaspard(
+    prog: &OpenClProgram,
+    device: &mut Device,
+    frames: &[Vec<NdArray<i64>>],
+    opts: &ExecOptions,
+    level: PlanOptLevel,
+) -> (Vec<Vec<NdArray<i64>>>, PlanOptReport) {
+    let mut plan = gaspard::lower_plan(prog);
+    let report = simgpu::optimize(&mut plan, level).unwrap();
+    let (outs, _) = BatchScheduler::new(&plan).run(device, frames, opts).unwrap();
+    (outs, report)
+}
 
 #[test]
 fn five_implementations_one_result() {
@@ -36,20 +62,14 @@ fn five_implementations_one_result() {
     assert_eq!(flat_out, expect, "flat evaluator after WLF");
 
     // 4. The CUDA route on the simulated device.
-    let mut device = Device::gtx480();
-    let (cuda_out, _) = run_on_device_opts(
-        &route.cuda,
-        &mut device,
-        std::slice::from_ref(&frame),
-        ExecOptions { channel_chunks: s.channels, ..Default::default() },
-    )
-    .unwrap();
-    assert_eq!(cuda_out, expect, "SaC -> CUDA route");
+    let sac_plan = sac_cuda::lower_plan(&route.cuda, s.channels).unwrap();
+    let (cuda_out, _) = run_one(&sac_plan, &mut Device::gtx480(), vec![frame]);
+    assert_eq!(cuda_out, std::slice::from_ref(&expect), "SaC -> CUDA route");
 
     // 5. The GASPARD2 OpenCL route.
     let gasp = build_gaspard(&s).unwrap();
-    let mut device2 = Device::gtx480();
-    let outs = gaspard::run_opencl(&gasp.opencl, &mut device2, &planes).unwrap();
+    let gasp_plan = gaspard::lower_plan(&gasp.opencl);
+    let (outs, _) = run_one(&gasp_plan, &mut Device::gtx480(), planes);
     assert_eq!(FrameGenerator::stack(&outs), expect, "GASPARD2 -> OpenCL route");
 }
 
@@ -61,15 +81,9 @@ fn generic_variant_agrees_end_to_end() {
 
     let route = build_sac(&s, Variant::Generic, Part::Full, &Default::default()).unwrap();
     assert!(route.cuda.host_steps_per_run() > 0, "generic route must fall back to the host");
-    let mut device = Device::gtx480();
-    let (out, stats) = run_on_device_opts(
-        &route.cuda,
-        &mut device,
-        std::slice::from_ref(&frame),
-        ExecOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(out, expect);
+    let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
+    let (out, stats) = run_one(&plan, &mut Device::gtx480(), vec![frame.clone()]);
+    assert_eq!(out, std::slice::from_ref(&expect));
     assert!(stats.host_ops > 0);
     // Also sequentially.
     assert_eq!(route.flat.run(&[frame], &mut 0).unwrap(), expect);
@@ -79,17 +93,15 @@ fn generic_variant_agrees_end_to_end() {
 fn multi_frame_stream_is_deterministic() {
     let s = Scenario::tiny();
     let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
+    let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 9);
 
     let run_stream = || {
         let mut device = Device::gtx480();
         let mut sink = FrameSink::new();
         for f in 0..3 {
-            let frame = gen.frame_rank3(f);
-            let (out, _) =
-                run_on_device_opts(&route.cuda, &mut device, &[frame], ExecOptions::default())
-                    .unwrap();
-            sink.consume(&FrameGenerator::unstack(&out));
+            let (out, _) = run_one(&plan, &mut device, vec![gen.frame_rank3(f)]);
+            sink.consume(&FrameGenerator::unstack(&out[0]));
         }
         (sink.digest, device.now_us())
     };
@@ -108,11 +120,11 @@ fn per_filter_and_full_pipelines_compose() {
     let v = build_sac(&s, Variant::NonGeneric, Part::Vertical, &Default::default()).unwrap();
     let full = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
 
+    let [h, v, full] = [&h, &v, &full].map(|r| sac_cuda::lower_plan(&r.cuda, 0).unwrap());
     let mut d = Device::gtx480();
-    let opts = ExecOptions::default();
-    let (hf, _) = run_on_device_opts(&h.cuda, &mut d, std::slice::from_ref(&frame), opts).unwrap();
-    let (vf, _) = run_on_device_opts(&v.cuda, &mut d, &[hf], opts).unwrap();
-    let (direct, _) = run_on_device_opts(&full.cuda, &mut d, &[frame], opts).unwrap();
+    let (hf, _) = run_one(&h, &mut d, vec![frame.clone()]);
+    let (vf, _) = run_one(&v, &mut d, hf);
+    let (direct, _) = run_one(&full, &mut d, vec![frame]);
     assert_eq!(vf, direct);
 }
 
@@ -132,12 +144,12 @@ fn fused_gaspard_route_agrees_with_unfused_and_reference() {
     let planes = FrameGenerator::new(s.channels, s.rows, s.cols, 77).frame_channels(0);
     let expect = reference_downscale(&s, &FrameGenerator::stack(&planes));
     let frames = vec![planes];
-    let opts = gaspard::ExecOptions::default();
+    let opts = ExecOptions::default();
     let mut d_unf = Device::gtx480();
-    let out_unf = gaspard::run_opencl_frames(&route.opencl, &mut d_unf, &frames, opts).unwrap();
+    let (out_unf, _) = run_gaspard(&route.opencl, &mut d_unf, &frames, &opts, PlanOptLevel::OFF);
     let mut d_fus = Device::gtx480();
-    let fus_opts = gaspard::ExecOptions { optimize: simgpu::PlanOptLevel::FUSION_FAITHFUL, ..opts };
-    let out_fus = gaspard::run_opencl_frames(&route.opencl, &mut d_fus, &frames, fus_opts).unwrap();
+    let (out_fus, _) =
+        run_gaspard(&route.opencl, &mut d_fus, &frames, &opts, PlanOptLevel::FUSION_FAITHFUL);
     assert_eq!(out_fus, out_unf, "fusion must preserve bits");
     assert_eq!(FrameGenerator::stack(&out_fus[0]), expect, "fused route vs golden filters");
     // Same bits for half the launches and strictly less simulated time.
@@ -150,7 +162,7 @@ fn fused_gaspard_route_agrees_with_unfused_and_reference() {
 #[test]
 fn fusion_refuses_multi_consumer_diamond() {
     use gaspard::transform::ScheduledArray;
-    use gaspard::{deploy, generate_opencl, run_opencl_frames, schedule, Platform};
+    use gaspard::{deploy, generate_opencl, schedule, Platform};
 
     let (model, alloc) = gaspard::fixtures::mini_two_stage_model();
     let mut sm = schedule(&deploy(model, Platform::cpu_gpu(), alloc).unwrap()).unwrap();
@@ -187,15 +199,15 @@ fn fusion_refuses_multi_consumer_diamond() {
         .collect();
     let opts = ExecOptions { streams: 2, ..Default::default() };
     let mut d_unf = Device::gtx480();
-    let base = run_opencl_frames(&prog, &mut d_unf, &frames, opts).unwrap();
+    let (base, _) = run_gaspard(&prog, &mut d_unf, &frames, &opts, PlanOptLevel::OFF);
     let mut d_fus = Device::gtx480();
-    let fus_opts = ExecOptions { optimize: simgpu::PlanOptLevel::FUSION, ..opts };
-    let got = run_opencl_frames(&prog, &mut d_fus, &frames, fus_opts).unwrap();
+    let (got, report) = run_gaspard(&prog, &mut d_fus, &frames, &opts, PlanOptLevel::FUSION);
     assert_eq!(got, base, "refused fusion must fall back to unfused results");
-    // The fallback is surfaced to the profiler for ablation reports.
+    // The fallback is reported by the run's own optimize call.
     assert!(
-        d_fus.profiler.notes().any(|n| n.contains("refused") && n.contains("feeds 2 consumers")),
-        "missing refusal note"
+        report.notes.iter().any(|n| n.contains("refused") && n.contains("feeds 2 consumers")),
+        "missing refusal note: {:?}",
+        report.notes
     );
 }
 
@@ -206,26 +218,21 @@ fn fusion_refuses_multi_consumer_diamond() {
 #[test]
 fn registry_workloads_agree_across_routes_streams_and_planopt() {
     use scenarios::{registry_small, Route};
-    use simgpu::PlanOptLevel;
 
     for w in registry_small() {
         let built = w.build().unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let mut baseline: Option<Vec<NdArray<i64>>> = None;
         for route in Route::BOTH {
             for streams in [1usize, 2] {
-                for (passes, optimize) in [("off", PlanOptLevel::OFF), ("all", PlanOptLevel::ALL)] {
+                for (passes, level) in [("off", PlanOptLevel::OFF), ("all", PlanOptLevel::ALL)] {
                     let label =
                         format!("{} ({} streams={streams} passes={passes})", w.name, route.name());
-                    let opts = simgpu::schedule::ExecOptions {
-                        streams,
-                        pool: streams > 1,
-                        executed: 3,
-                        optimize,
-                        ..Default::default()
-                    };
+                    let mut plan = built.plan(route).unwrap();
+                    simgpu::optimize(&mut plan, level).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let opts = ExecOptions { streams, pool: streams > 1, ..Default::default() };
                     let mut device = Device::gtx480();
                     let (outs, _) = built
-                        .run(route, &mut device, &opts)
+                        .run(route, &plan, &mut device, 3.min(w.frames), &opts)
                         .unwrap_or_else(|e| panic!("{label}: {e}"));
                     for (f, out) in outs.iter().enumerate() {
                         assert_eq!(out, &built.reference(f), "{label}: frame {f} vs CPU reference");
@@ -253,15 +260,10 @@ fn gaspard_and_sac_kernel_structure_differs_as_published() {
     // Both routes transfer the same frame data.
     let mut d1 = Device::gtx480();
     let planes = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_channels(0);
-    gaspard::run_opencl(&gasp.opencl, &mut d1, &planes).unwrap();
+    let frame = FrameGenerator::stack(&planes);
+    run_one(&gaspard::lower_plan(&gasp.opencl), &mut d1, planes);
     let mut d2 = Device::gtx480();
-    run_on_device_opts(
-        &sac.cuda,
-        &mut d2,
-        &[FrameGenerator::stack(&planes)],
-        ExecOptions { channel_chunks: s.channels, ..Default::default() },
-    )
-    .unwrap();
+    run_one(&sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap(), &mut d2, vec![frame]);
     let h2d1 = d1.profiler.class_total_us(simgpu::profiler::OpClass::H2D);
     let h2d2 = d2.profiler.class_total_us(simgpu::profiler::OpClass::H2D);
     assert!((h2d1 - h2d2).abs() < 1e-6, "equal frame traffic: {h2d1} vs {h2d2}");
@@ -275,7 +277,6 @@ fn gaspard_and_sac_kernel_structure_differs_as_published() {
 fn plan_level_fusion_recovers_wlf_and_collapses_the_stencil_chain() {
     use sac_lang::opt::OptConfig;
     use scenarios::{registry_small, Kind, Route};
-    use simgpu::PlanOptLevel;
 
     let w = registry_small().into_iter().find(|w| w.kind == Kind::ImagePipe).unwrap();
     let wlf_on = w.build().unwrap();
@@ -305,10 +306,12 @@ fn plan_level_fusion_recovers_wlf_and_collapses_the_stencil_chain() {
     assert_eq!(launches(&gasp_fused), 1, "{:?}", report.notes);
 
     // Bit-identical outputs and timing parity across all four configs.
-    let run = |built: &scenarios::BuiltWorkload, route, optimize| {
-        let opts = simgpu::schedule::ExecOptions { optimize, ..Default::default() };
+    let run = |built: &scenarios::BuiltWorkload, route, level| {
+        let mut plan = built.plan(route).unwrap();
+        simgpu::optimize(&mut plan, level).unwrap();
         let mut device = Device::gtx480();
-        let (outs, stats) = built.run(route, &mut device, &opts).unwrap();
+        let (outs, stats) =
+            built.run(route, &plan, &mut device, w.frames, &ExecOptions::default()).unwrap();
         (outs, stats, device.now_us())
     };
     let (on_outs, on_stats, on_us) = run(&wlf_on, Route::Sac, simgpu::PlanOptLevel::OFF);
@@ -336,26 +339,21 @@ fn plan_level_fusion_recovers_wlf_and_collapses_the_stencil_chain() {
 /// downscaler: identical outputs, equal-or-better launch counts and time.
 #[test]
 fn plan_fusion_matches_route_local_fusion_on_the_downscaler() {
-    use simgpu::PlanOptLevel;
-
     let s = Scenario::tiny();
     let unfused = build_gaspard(&s).unwrap();
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 4242);
     let frames: Vec<Vec<NdArray<i64>>> = (0..2).map(|f| gen.frame_channels(f)).collect();
-    let opts = gaspard::ExecOptions::default();
+    let opts = ExecOptions::default();
 
     // Faithful: the exact kernels the scheduled-model-level fuse_model
     // route generated (6 -> 3 kernels, same composed bodies).
     let mut d_legacy = Device::gtx480();
-    let legacy_opts = gaspard::ExecOptions { optimize: PlanOptLevel::FUSION_FAITHFUL, ..opts };
-    let legacy =
-        gaspard::run_opencl_frames(&unfused.opencl, &mut d_legacy, &frames, legacy_opts).unwrap();
+    let (legacy, _) =
+        run_gaspard(&unfused.opencl, &mut d_legacy, &frames, &opts, PlanOptLevel::FUSION_FAITHFUL);
 
     // Default: the same pass with the lean fused codegen.
     let mut d_plan = Device::gtx480();
-    let plan_opts = gaspard::ExecOptions { optimize: PlanOptLevel::FUSION, ..opts };
-    let plan =
-        gaspard::run_opencl_frames(&unfused.opencl, &mut d_plan, &frames, plan_opts).unwrap();
+    let (plan, _) = run_gaspard(&unfused.opencl, &mut d_plan, &frames, &opts, PlanOptLevel::FUSION);
 
     assert_eq!(plan, legacy, "lean plan fusion must match the faithful mode bit-for-bit");
     let launches = |d: &Device| {

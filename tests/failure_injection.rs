@@ -1,17 +1,27 @@
 //! Failure injection: every layer must surface faults as typed errors, never
 //! panics or silent corruption.
 
-use downscaler::pipelines::{
-    build_gaspard, build_sac, run_gaspard_batch, run_sac_batch, ExecOptions, PipelineError,
-};
+use downscaler::pipelines::{build_gaspard, build_sac, run_batch, ExecOptions, PipelineError};
 use downscaler::sac_src::{Part, Variant};
 use downscaler::{FrameGenerator, Scenario};
+use mdarray::NdArray;
 use proptest::prelude::*;
-use sac_cuda::exec::{run_on_device, HostCost};
+use sac_cuda::{CudaError, CudaProgram};
 use sac_lang::wir::{FlatGen, FlatProgram, FlatWith, Step, SymExpr};
 use simgpu::device::{BufferId, Device, DeviceConfig};
-use simgpu::Calibration;
+use simgpu::{BatchScheduler, Calibration};
 use std::collections::HashMap;
+
+/// One serial frame of a compiled SaC program, lowered unchunked.
+fn run_sac_frame(
+    cuda: &CudaProgram,
+    device: &mut Device,
+    inputs: Vec<NdArray<i64>>,
+) -> Result<(), CudaError> {
+    let plan = sac_cuda::lower_plan(cuda, 0)?;
+    BatchScheduler::new(&plan).run(device, &[inputs], &ExecOptions::default())?;
+    Ok(())
+}
 
 /// A device too small for the frames: the run must fail with OutOfMemory and
 /// leave no partial simulated-time record inconsistencies.
@@ -22,10 +32,9 @@ fn device_oom_is_reported() {
     let frame = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_rank3(0);
     // Frame alone needs 3*18*32*4 = 6912 bytes; give the device less.
     let mut device = Device::new(DeviceConfig::toy(4096), Calibration::gtx480());
-    let err =
-        run_on_device(&route.cuda, &mut device, std::slice::from_ref(&frame), HostCost::default());
+    let err = run_sac_frame(&route.cuda, &mut device, vec![frame]);
     match err {
-        Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfMemory { .. })) => {}
+        Err(CudaError::Sim(simgpu::SimError::OutOfMemory { .. })) => {}
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
 }
@@ -37,7 +46,10 @@ fn gaspard_oom_is_reported() {
     let route = build_gaspard(&s).unwrap();
     let channels = FrameGenerator::new(s.channels, s.rows, s.cols, 1).frame_channels(0);
     let mut device = Device::new(DeviceConfig::toy(1024), Calibration::gtx480());
-    let err = gaspard::run_opencl(&route.opencl, &mut device, &channels);
+    let plan = gaspard::lower_plan(&route.opencl);
+    let err = BatchScheduler::new(&plan)
+        .run(&mut device, &[channels], &ExecOptions::default())
+        .map_err(gaspard::GaspardError::from);
     assert!(
         matches!(err, Err(gaspard::GaspardError::Sim(simgpu::SimError::OutOfMemory { .. }))),
         "{err:?}"
@@ -78,40 +90,49 @@ fn mid_batch_oom_degrades_to_fewer_lanes() {
     let s = Scenario::tiny(); // 2 frames: the second frame's lane OOMs
     let seed = 9;
     let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
+    let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
     let gasp = build_gaspard(&s).unwrap();
+    let gasp = gaspard::lower_plan(&gasp.opencl);
+    let run_sac = |device: &mut Device, opts: ExecOptions| {
+        run_batch(&s, &sac, device, seed, s.frames, &opts)
+            .map(|(outs, _)| outs)
+            .map_err(|e| PipelineError::from(CudaError::from(e)))
+    };
+    let run_gasp = |device: &mut Device, opts: ExecOptions| {
+        run_batch(&s, &gasp, device, seed, s.frames, &opts)
+            .map(|(outs, _)| outs)
+            .map_err(|e| PipelineError::from(gaspard::GaspardError::from(e)))
+    };
 
     // SaC route.
     let mut base = Device::gtx480();
-    let baseline = run_sac_batch(&s, &sac, &mut base, seed, ExecOptions::default()).unwrap();
+    let baseline = run_sac(&mut base, ExecOptions::default()).unwrap();
     let cfg = DeviceConfig::toy(base.peak_allocated_bytes()); // one lane fits
     let two = ExecOptions { streams: 2, ..Default::default() };
 
     let mut naive = Device::new(cfg.clone(), Calibration::gtx480());
-    let err = run_sac_batch(&s, &sac, &mut naive, seed, two);
+    let err = run_sac(&mut naive, two);
     assert!(
         matches!(
             err,
-            Err(PipelineError::Cuda(sac_cuda::CudaError::Sim(
-                simgpu::SimError::OutOfMemory { .. }
-            )))
+            Err(PipelineError::Cuda(CudaError::Sim(simgpu::SimError::OutOfMemory { .. })))
         ),
         "{err:?}"
     );
 
     let mut deg = Device::new(cfg, Calibration::gtx480());
-    let outs = run_sac_batch(&s, &sac, &mut deg, seed, ExecOptions { degrade_on_oom: true, ..two })
-        .unwrap();
+    let outs = run_sac(&mut deg, ExecOptions { degrade_on_oom: true, ..two }).unwrap();
     assert_eq!(outs, baseline);
     assert_eq!(deg.allocated_bytes(), 0);
     assert!(deg.profiler.notes().any(|n| n.contains("degraded")));
 
     // GASPARD route.
     let mut base = Device::gtx480();
-    let baseline = run_gaspard_batch(&s, &gasp, &mut base, seed, ExecOptions::default()).unwrap();
+    let baseline = run_gasp(&mut base, ExecOptions::default()).unwrap();
     let cfg = DeviceConfig::toy(base.peak_allocated_bytes());
 
     let mut naive = Device::new(cfg.clone(), Calibration::gtx480());
-    let err = run_gaspard_batch(&s, &gasp, &mut naive, seed, two);
+    let err = run_gasp(&mut naive, two);
     assert!(
         matches!(
             err,
@@ -123,9 +144,7 @@ fn mid_batch_oom_degrades_to_fewer_lanes() {
     );
 
     let mut deg = Device::new(cfg, Calibration::gtx480());
-    let outs =
-        run_gaspard_batch(&s, &gasp, &mut deg, seed, ExecOptions { degrade_on_oom: true, ..two })
-            .unwrap();
+    let outs = run_gasp(&mut deg, ExecOptions { degrade_on_oom: true, ..two }).unwrap();
     assert_eq!(outs, baseline);
     assert!(deg.profiler.notes().any(|n| n.contains("degraded")));
 }
@@ -206,16 +225,13 @@ fn kernel_oob_load_faults() {
         },
     });
     // The flat evaluator catches it…
-    let frame = mdarray::NdArray::filled([8usize], 1i64);
+    let frame = NdArray::filled([8usize], 1i64);
     assert!(p.run(std::slice::from_ref(&frame), &mut 0).is_err());
     // …and so does the simulated device.
     let cuda = sac_cuda::compile_flat_program(&p).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], HostCost::default());
-    assert!(
-        matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::OutOfBounds { .. }))),
-        "{err:?}"
-    );
+    let err = run_sac_frame(&cuda, &mut device, vec![frame]);
+    assert!(matches!(err, Err(CudaError::Sim(simgpu::SimError::OutOfBounds { .. }))), "{err:?}");
 }
 
 /// Malformed SaC programs are rejected with a line-numbered parse error or a
@@ -248,7 +264,7 @@ int[*] main(int[4] a)
 }
 "#;
     let prog = sac_lang::parse_program(src).unwrap();
-    let frame = mdarray::NdArray::filled([4usize], 3i64);
+    let frame = NdArray::filled([4usize], 3i64);
 
     // Interpreter.
     let mut interp = sac_lang::Interp::new(&prog);
@@ -260,11 +276,8 @@ int[*] main(int[4] a)
     assert!(flat.run(std::slice::from_ref(&frame), &mut 0).is_err());
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
     let mut device = Device::gtx480();
-    let err = run_on_device(&cuda, &mut device, &[frame], HostCost::default());
-    assert!(
-        matches!(err, Err(sac_cuda::CudaError::Sim(simgpu::SimError::DivByZero { .. }))),
-        "{err:?}"
-    );
+    let err = run_sac_frame(&cuda, &mut device, vec![frame]);
+    assert!(matches!(err, Err(CudaError::Sim(simgpu::SimError::DivByZero { .. }))), "{err:?}");
 }
 
 /// Deployment faults: a model whose filters are allocated to a nonexistent

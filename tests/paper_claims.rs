@@ -126,14 +126,11 @@ fn wlf_shrinks_device_footprint() {
     for cfg in [OptConfig::default(), OptConfig { with_loop_folding: false, resolve_modulo: true }]
     {
         let route = build_sac(&s, Variant::NonGeneric, Part::Full, &cfg).unwrap();
+        let plan = sac_cuda::lower_plan(&route.cuda, 0).unwrap();
         let mut device = simgpu::device::Device::gtx480();
-        sac_cuda::exec::run_on_device(
-            &route.cuda,
-            &mut device,
-            std::slice::from_ref(&frame),
-            sac_cuda::exec::HostCost::default(),
-        )
-        .unwrap();
+        let frames = [vec![frame.clone()]];
+        let opts = simgpu::ExecOptions::default();
+        simgpu::BatchScheduler::new(&plan).run(&mut device, &frames, &opts).unwrap();
         peaks.push(device.peak_allocated_bytes());
     }
     let (folded, unfolded) = (peaks[0], peaks[1]);

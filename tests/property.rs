@@ -2,9 +2,8 @@
 
 use arrayol::{IMat, Tiler};
 use gaspard::{
-    deploy, generate_opencl, run_opencl_frames, schedule, to_arrayol, Allocation, Component,
-    ComponentKind, Connection, ExecOptions, Model, PartRef, Platform, Port, PortDir, Stereotype,
-    TilerSpec, WindowSpec,
+    deploy, generate_opencl, schedule, to_arrayol, Allocation, Component, ComponentKind,
+    Connection, Model, PartRef, Platform, Port, PortDir, Stereotype, TilerSpec, WindowSpec,
 };
 use mdarray::{NdArray, Shape};
 use proptest::prelude::*;
@@ -12,6 +11,7 @@ use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use sac_lang::value::Value;
 use sac_lang::Interp;
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions};
 
 /// Column-axis parameters of one repetitive filter stage (the row axis is
 /// always an untiled pass-through, like the downscaler's).
@@ -316,15 +316,11 @@ int[*] main(int[{rows},{cols}] a)
         let expect = flat.run(std::slice::from_ref(&frame), &mut 0).unwrap();
 
         let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
-        let mut device = simgpu::device::Device::gtx480();
-        let (got, _) = sac_cuda::exec::run_on_device(
-            &cuda,
-            &mut device,
-            &[frame],
-            sac_cuda::exec::HostCost::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(got, expect);
+        let plan = sac_cuda::lower_plan(&cuda, 0).unwrap();
+        let (got, _) = BatchScheduler::new(&plan)
+            .run(&mut Device::gtx480(), &[vec![frame]], &ExecOptions::default())
+            .unwrap();
+        prop_assert_eq!(&got[0][0], &expect);
     }
 
     /// Tiler-composition fusion over random exact-cover two-stage chains is
@@ -419,20 +415,11 @@ int[*] main(int[{rows},{cols}] a)
             .collect();
 
         let run = |fuse: bool, queues, degrade, device: &mut Device| {
-            let optimize =
-                if fuse { simgpu::PlanOptLevel::FUSION } else { simgpu::PlanOptLevel::OFF };
-            run_opencl_frames(
-                &prog,
-                device,
-                &frames,
-                ExecOptions {
-                    streams: queues,
-                    degrade_on_oom: degrade,
-                    optimize,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+            let level = if fuse { simgpu::PlanOptLevel::FUSION } else { simgpu::PlanOptLevel::OFF };
+            let mut plan = gaspard::lower_plan(&prog);
+            simgpu::optimize(&mut plan, level).unwrap();
+            let opts = ExecOptions { streams: queues, degrade_on_oom: degrade, ..Default::default() };
+            BatchScheduler::new(&plan).run(device, &frames, &opts).unwrap().0
         };
         let unfused = run(false, 1, false, &mut Device::gtx480());
         prop_assert_eq!(&unfused, &reference);
@@ -494,9 +481,9 @@ int[*] main(int[{rows},{cols}] a)
         let built = w.build().unwrap();
         let route = scenarios::Route::Gaspard;
         let executed = if w.temporal() { 3.min(w.frames) } else { 2 };
+        let plan = built.plan(route).unwrap();
         let base = ExecOptions {
             streams,
-            executed,
             host_ns_per_op: 40.0,
             ..Default::default()
         };
@@ -515,7 +502,7 @@ int[*] main(int[{rows},{cols}] a)
 
         // Baseline: the paper-calibrated model the device boots with.
         let mut base_dev = Device::gtx480();
-        let (base_outs, base_stats) = built.run(route, &mut base_dev, &base).unwrap();
+        let (base_outs, base_stats) = built.run(route, &plan, &mut base_dev, executed, &base).unwrap();
 
         let check = |outs: &Vec<NdArray<i64>>, stats: &simgpu::RunStats, who: &str| {
             prop_assert_eq!(outs, &base_outs, "{} outputs diverged", who);
@@ -532,7 +519,7 @@ int[*] main(int[{rows},{cols}] a)
         for spec in [CostModelSpec::Zero, CostModelSpec::PaperAlloc, CostModelSpec::WarpTile] {
             let mut dev = Device::gtx480();
             let (outs, stats) =
-                built.run(route, &mut dev, &ExecOptions { cost: spec, ..base }).unwrap();
+                built.run(route, &plan, &mut dev, executed, &ExecOptions { cost: spec, ..base }).unwrap();
             let name = spec.name().expect("non-inherit spec has a name");
             check(&outs, &stats, name);
             prop_assert!(
@@ -544,7 +531,7 @@ int[*] main(int[{rows},{cols}] a)
         // A randomized calibration installed directly on the device.
         let mut rand_dev =
             Device::new(simgpu::DeviceConfig::gtx480(), random_calib.clone());
-        let (outs, stats) = built.run(route, &mut rand_dev, &base).unwrap();
+        let (outs, stats) = built.run(route, &plan, &mut rand_dev, executed, &base).unwrap();
         check(&outs, &stats, "randomized calibration");
 
         // OOM degradation: starve the device to one lane's worth so a
@@ -553,16 +540,16 @@ int[*] main(int[{rows},{cols}] a)
         // randomized one.
         if streams == 2 {
             let mut probe = Device::gtx480();
-            built.run(route, &mut probe, &ExecOptions { streams: 1, ..base }).unwrap();
+            built.run(route, &plan, &mut probe, executed, &ExecOptions { streams: 1, ..base }).unwrap();
             let starved = || simgpu::DeviceConfig::toy(probe.peak_allocated_bytes());
             let degrade = ExecOptions { degrade_on_oom: true, ..base };
 
             let mut paper = Device::new(starved(), simgpu::Calibration::gtx480());
-            let (outs, stats) = built.run(route, &mut paper, &degrade).unwrap();
+            let (outs, stats) = built.run(route, &plan, &mut paper, executed, &degrade).unwrap();
             check(&outs, &stats, "degraded paper");
 
             let mut random = Device::new(starved(), random_calib);
-            let (outs_r, stats_r) = built.run(route, &mut random, &degrade).unwrap();
+            let (outs_r, stats_r) = built.run(route, &plan, &mut random, executed, &degrade).unwrap();
             check(&outs_r, &stats_r, "degraded randomized");
             prop_assert_eq!(
                 paper.profiler.notes().filter(|n| n.contains("degraded")).count(),

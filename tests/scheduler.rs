@@ -1,11 +1,11 @@
-//! The shared launch-plan scheduler against its legacy entry points.
+//! The shared launch-plan scheduler end to end.
 //!
-//! Both routes' public executors (`run_frames_pipelined`,
-//! `run_opencl_frames`) are thin wrappers over
-//! `simgpu::schedule::BatchScheduler`; these tests pin that equivalence
-//! down differentially — same outputs, same simulated clock, same per-engine
-//! busy time — and check the degradation ladder converges to a bit-identical
-//! result from any starting lane count.
+//! Both routes run a program the same way — lower to a `LaunchPlan`,
+//! optionally rewrite it with `simgpu::optimize`, execute it with
+//! `simgpu::schedule::BatchScheduler`. These tests pin the scheduler's
+//! transfer accounting, check that planopt passes preserve outputs on
+//! random plans, and check the degradation ladder converges to a
+//! bit-identical result from any starting lane count.
 
 use gpu_abstractions::{downscaler, gaspard, sac_cuda, simgpu};
 
@@ -15,72 +15,8 @@ use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use proptest::prelude::*;
 use simgpu::device::{Device, DeviceConfig};
-use simgpu::profiler::OpClass;
 use simgpu::schedule::{BatchScheduler, ExecOptions};
 use simgpu::Calibration;
-
-const CLASSES: [OpClass; 4] = [OpClass::H2D, OpClass::Kernel, OpClass::D2H, OpClass::Host];
-
-fn assert_same_timeline(a: &Device, b: &Device, what: &str) {
-    assert_eq!(a.now_us(), b.now_us(), "{what}: simulated clocks differ");
-    for class in CLASSES {
-        assert_eq!(
-            a.profiler.engine_busy_us(class),
-            b.profiler.engine_busy_us(class),
-            "{what}: {class:?} engine busy time differs"
-        );
-    }
-}
-
-/// An HD-frame scenario through the legacy SaC wrapper and through a
-/// hand-lowered plan on the scheduler: identical outputs, identical clock,
-/// identical per-engine busy totals.
-#[test]
-fn sac_wrapper_is_the_scheduler_differentially() {
-    let mut s = Scenario::hd1080();
-    s.frames = 2;
-    let route = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
-    let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 0x5CED);
-    let frames: Vec<_> = (0..s.frames).map(|f| vec![gen.frame_rank3(f)]).collect();
-    let opts = ExecOptions { streams: 2, channel_chunks: s.channels, ..Default::default() };
-
-    let mut legacy_dev = Device::gtx480();
-    let (legacy_outs, legacy_stats) =
-        sac_cuda::exec::run_frames_pipelined(&route.cuda, &mut legacy_dev, &frames, opts).unwrap();
-
-    let mut direct_dev = Device::gtx480();
-    let plan = sac_cuda::exec::lower_plan(&route.cuda, opts.channel_chunks).unwrap();
-    let (direct_outs, direct_stats) =
-        BatchScheduler::new(&plan).run(&mut direct_dev, &frames, &opts).unwrap();
-
-    let direct_outs: Vec<_> =
-        direct_outs.into_iter().map(|mut frame| frame.pop().unwrap()).collect();
-    assert_eq!(legacy_outs, direct_outs);
-    assert_eq!(legacy_stats, direct_stats);
-    assert_same_timeline(&legacy_dev, &direct_dev, "SaC");
-}
-
-/// Same differential check for the GASPARD2 route.
-#[test]
-fn gaspard_wrapper_is_the_scheduler_differentially() {
-    let mut s = Scenario::hd1080();
-    s.frames = 2;
-    let route = build_gaspard(&s).unwrap();
-    let gen = FrameGenerator::new(s.channels, s.rows, s.cols, 0x5CED);
-    let frames: Vec<_> = (0..s.frames).map(|f| gen.frame_channels(f)).collect();
-    let opts = ExecOptions { streams: 2, ..Default::default() };
-
-    let mut legacy_dev = Device::gtx480();
-    let legacy_outs =
-        gaspard::run_opencl_frames(&route.opencl, &mut legacy_dev, &frames, opts).unwrap();
-
-    let mut direct_dev = Device::gtx480();
-    let plan = gaspard::lower_plan(&route.opencl);
-    let (direct_outs, _) = BatchScheduler::new(&plan).run(&mut direct_dev, &frames, &opts).unwrap();
-
-    assert_eq!(legacy_outs, direct_outs);
-    assert_same_timeline(&legacy_dev, &direct_dev, "Gaspard");
-}
 
 /// When a plan requests a chunk count that does not divide the array length
 /// the device falls back to a single transfer; the run stats must report the
@@ -295,7 +231,7 @@ struct DegradationFixture {
     gasp: downscaler::pipelines::GaspardRoute,
     sac_frames: Vec<Vec<mdarray::NdArray<i64>>>,
     gasp_frames: Vec<Vec<mdarray::NdArray<i64>>>,
-    sac_base: Vec<mdarray::NdArray<i64>>,
+    sac_base: Vec<Vec<mdarray::NdArray<i64>>>,
     gasp_base: Vec<Vec<mdarray::NdArray<i64>>>,
     sac_capacity: usize,
     gasp_capacity: usize,
@@ -313,21 +249,15 @@ fn degradation_fixture() -> &'static DegradationFixture {
         let gasp_frames: Vec<_> = (0..s.frames).map(|f| gen.frame_channels(f)).collect();
 
         // Unconstrained 1-lane baseline; its peak sizes the constrained device.
-        let base_opts = ExecOptions { channel_chunks: s.channels, ..Default::default() };
-        let mut base_dev = Device::gtx480();
-        let (sac_base, _) =
-            sac_cuda::exec::run_frames_pipelined(&sac.cuda, &mut base_dev, &sac_frames, base_opts)
-                .unwrap();
-        let sac_capacity = base_dev.peak_allocated_bytes() * 2;
-        let mut base_dev = Device::gtx480();
-        let gasp_base = gaspard::run_opencl_frames(
-            &gasp.opencl,
-            &mut base_dev,
-            &gasp_frames,
-            ExecOptions::default(),
-        )
-        .unwrap();
-        let gasp_capacity = base_dev.peak_allocated_bytes() * 2;
+        let baseline = |plan: &simgpu::LaunchPlan<'_>, frames| {
+            let mut base_dev = Device::gtx480();
+            let opts = ExecOptions::default();
+            let (outs, _) = BatchScheduler::new(plan).run(&mut base_dev, frames, &opts).unwrap();
+            (outs, base_dev.peak_allocated_bytes() * 2)
+        };
+        let (sac_base, sac_capacity) =
+            baseline(&sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap(), &sac_frames);
+        let (gasp_base, gasp_capacity) = baseline(&gaspard::lower_plan(&gasp.opencl), &gasp_frames);
         DegradationFixture {
             s,
             sac,
@@ -350,23 +280,17 @@ proptest! {
     #[test]
     fn degradation_converges_to_bit_identical_outputs(lanes in 1usize..9) {
         let fx = degradation_fixture();
-        let opts = ExecOptions {
-            streams: lanes,
-            degrade_on_oom: true,
-            channel_chunks: fx.s.channels,
-            ..Default::default()
-        };
+        let opts = ExecOptions { streams: lanes, degrade_on_oom: true, ..Default::default() };
+        let sac_plan = sac_cuda::lower_plan(&fx.sac.cuda, fx.s.channels).unwrap();
         let mut dev = Device::new(DeviceConfig::toy(fx.sac_capacity), Calibration::gtx480());
         let (sac_outs, _) =
-            sac_cuda::exec::run_frames_pipelined(&fx.sac.cuda, &mut dev, &fx.sac_frames, opts)
-                .unwrap();
+            BatchScheduler::new(&sac_plan).run(&mut dev, &fx.sac_frames, &opts).unwrap();
         prop_assert_eq!(&sac_outs, &fx.sac_base, "SaC outputs diverged at {} lanes", lanes);
 
+        let gasp_plan = gaspard::lower_plan(&fx.gasp.opencl);
         let mut dev = Device::new(DeviceConfig::toy(fx.gasp_capacity), Calibration::gtx480());
-        let gasp_outs = gaspard::run_opencl_frames(
-            &fx.gasp.opencl, &mut dev, &fx.gasp_frames,
-            ExecOptions { channel_chunks: 0, ..opts },
-        ).unwrap();
+        let (gasp_outs, _) =
+            BatchScheduler::new(&gasp_plan).run(&mut dev, &fx.gasp_frames, &opts).unwrap();
         prop_assert_eq!(&gasp_outs, &fx.gasp_base, "Gaspard outputs diverged at {} lanes", lanes);
     }
 }

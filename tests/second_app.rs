@@ -5,9 +5,9 @@
 //! in the toolchain is downscaler-specific.
 
 use mdarray::NdArray;
-use sac_cuda::exec::{run_on_device, HostCost};
 use sac_lang::opt::{optimize, ArgDesc, OptConfig};
 use simgpu::device::Device;
+use simgpu::{BatchScheduler, ExecOptions};
 
 const ROWS: usize = 24;
 const COLS: usize = 32;
@@ -62,11 +62,12 @@ int[*] main(int[{ROWS},{COLS}] f)
     assert_eq!(flat.run_parallel(std::slice::from_ref(&frame), 4).unwrap(), expect);
 
     let cuda = sac_cuda::compile_flat_program(&flat).unwrap();
+    let plan = sac_cuda::lower_plan(&cuda, 0).unwrap();
     let mut device = Device::gtx480();
-    let (got, stats) =
-        run_on_device(&cuda, &mut device, std::slice::from_ref(&frame), HostCost::default())
-            .unwrap();
-    assert_eq!(got, expect);
+    let (got, stats) = BatchScheduler::new(&plan)
+        .run(&mut device, &[vec![frame]], &ExecOptions::default())
+        .unwrap();
+    assert_eq!(got, [[expect]]);
     assert_eq!(stats.launches, 1, "fused pipeline is a single kernel");
 }
 
@@ -218,9 +219,12 @@ fn gaspard_route_thumbnailer() {
     });
 
     // Generated OpenCL on the device == ArrayOL reference executor.
+    let plan = gaspard::lower_plan(&opencl);
     let mut device = Device::gtx480();
-    let outs = gaspard::run_opencl(&opencl, &mut device, std::slice::from_ref(&frame)).unwrap();
-    assert_eq!(outs[0], expect);
+    let (outs, _) = BatchScheduler::new(&plan)
+        .run(&mut device, &[vec![frame.clone()]], &ExecOptions::default())
+        .unwrap();
+    assert_eq!(outs[0][0], expect);
 
     let g = to_arrayol(&scheduled).unwrap();
     let mut inputs = std::collections::HashMap::new();

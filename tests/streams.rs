@@ -10,17 +10,18 @@
 //!   compilation routes while leaving outputs bit-identical to the golden
 //!   CPU reference.
 
-use gpu_abstractions::{downscaler, gaspard, simgpu};
+use gpu_abstractions::{downscaler, gaspard, sac_cuda, simgpu};
 
 use downscaler::frames::FrameGenerator;
 use downscaler::pipelines::{
-    build_gaspard, build_sac, reference_downscale, run_gaspard_batch, run_sac_batch, ExecOptions,
+    build_gaspard, build_sac, reference_downscale, run_batch, ExecOptions,
 };
 use downscaler::sac_src::{Part, Variant};
 use downscaler::Scenario;
 use proptest::prelude::*;
 use simgpu::device::{Device, StreamId};
 use simgpu::profiler::OpClass;
+use simgpu::BatchScheduler;
 
 const CLASSES: [OpClass; 4] = [OpClass::H2D, OpClass::Kernel, OpClass::D2H, OpClass::Host];
 
@@ -77,40 +78,27 @@ fn one_stream_batches_reproduce_serialized_profiles_exactly() {
     let s = Scenario::tiny();
     let seed = 0xD05C;
     let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
+    let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
     let gasp = build_gaspard(&s).unwrap();
+    let gasp = gaspard::lower_plan(&gasp.opencl);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
+    let opts = ExecOptions::default();
 
-    // The pre-stream serialized executors, one frame at a time.
+    // Serialized one-frame runs, one frame at a time.
     let mut sac_serial = Device::gtx480();
-    for f in 0..s.frames {
-        sac_cuda::exec::run_on_device_opts(
-            &sac.cuda,
-            &mut sac_serial,
-            &[gen.frame_rank3(f)],
-            sac_cuda::ExecOptions { channel_chunks: s.channels, ..Default::default() },
-        )
-        .unwrap();
-    }
     let mut gasp_serial = Device::gtx480();
     for f in 0..s.frames {
-        gaspard::run_opencl(&gasp.opencl, &mut gasp_serial, &gen.frame_channels(f)).unwrap();
+        let frame = [vec![gen.frame_rank3(f)]];
+        BatchScheduler::new(&sac).run(&mut sac_serial, &frame, &opts).unwrap();
+        let frame = [gen.frame_channels(f)];
+        BatchScheduler::new(&gasp).run(&mut gasp_serial, &frame, &opts).unwrap();
     }
 
-    // The batch executors in 1-stream mode.
+    // The whole batch in 1-stream mode.
     let mut sac_batch = Device::gtx480();
-    run_sac_batch(
-        &s,
-        &sac,
-        &mut sac_batch,
-        seed,
-        ExecOptions {
-            host_ns_per_op: sac_cuda::HostCost::default().ns_per_op,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    run_batch(&s, &sac, &mut sac_batch, seed, s.frames, &opts).unwrap();
     let mut gasp_batch = Device::gtx480();
-    run_gaspard_batch(&s, &gasp, &mut gasp_batch, seed, ExecOptions::default()).unwrap();
+    run_batch(&s, &gasp, &mut gasp_batch, seed, s.frames, &opts).unwrap();
 
     assert_eq!(sac_batch.now_us(), sac_serial.now_us());
     assert_eq!(gasp_batch.now_us(), gasp_serial.now_us());
@@ -128,22 +116,28 @@ fn double_buffering_beats_sync_with_bit_identical_outputs() {
     s.frames = 8;
     let seed = 0xBEEF;
     let sac = build_sac(&s, Variant::NonGeneric, Part::Full, &Default::default()).unwrap();
+    let sac = sac_cuda::lower_plan(&sac.cuda, s.channels).unwrap();
     let gasp = build_gaspard(&s).unwrap();
+    let gasp = gaspard::lower_plan(&gasp.opencl);
     let gen = FrameGenerator::new(s.channels, s.rows, s.cols, seed);
 
     let mut makespans = Vec::new();
     for streams in [1usize, 2] {
         let opts = ExecOptions { streams, ..Default::default() };
         let mut sac_dev = Device::gtx480();
-        let sac_outs = run_sac_batch(&s, &sac, &mut sac_dev, seed, opts).unwrap();
+        let (sac_outs, _) = run_batch(&s, &sac, &mut sac_dev, seed, s.frames, &opts).unwrap();
         let mut gasp_dev = Device::gtx480();
-        let gasp_outs = run_gaspard_batch(&s, &gasp, &mut gasp_dev, seed, opts).unwrap();
+        let (gasp_outs, _) = run_batch(&s, &gasp, &mut gasp_dev, seed, s.frames, &opts).unwrap();
 
         // Outputs stay bit-identical to the golden CPU reference at every
         // stream count.
         for f in 0..s.frames {
             let expect = reference_downscale(&s, &gen.frame_rank3(f));
-            assert_eq!(sac_outs[f], expect, "SaC frame {f} at {streams} streams");
+            assert_eq!(
+                sac_outs[f],
+                std::slice::from_ref(&expect),
+                "SaC frame {f} at {streams} streams"
+            );
             assert_eq!(
                 FrameGenerator::stack(&gasp_outs[f]),
                 expect,
